@@ -22,6 +22,7 @@ import (
 	"rcnvm/internal/imdb"
 	"rcnvm/internal/memctrl"
 	"rcnvm/internal/server"
+	"rcnvm/internal/shard"
 	"rcnvm/internal/sql"
 	"rcnvm/internal/workload"
 )
@@ -39,7 +40,8 @@ func BenchmarkServerThroughput(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := sql.Exec(db, "CREATE TABLE bench (id, grp, val) CAPACITY 4096"); err != nil {
+			cl := shard.Wrap(db)
+			if _, err := sql.ExecSharded(cl, "CREATE TABLE bench (id, grp, val) CAPACITY 4096"); err != nil {
 				b.Fatal(err)
 			}
 			for lo := 0; lo < 1024; lo += 128 {
@@ -50,7 +52,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 					}
 					ins += fmt.Sprintf("(%d,%d,%d)", i, i%8, i*3)
 				}
-				if _, err := sql.Exec(db, ins); err != nil {
+				if _, err := sql.ExecSharded(cl, ins); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -133,7 +135,8 @@ func BenchmarkServerBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := sql.Exec(db, "CREATE TABLE bench (id, grp, val) CAPACITY 4096"); err != nil {
+			cl := shard.Wrap(db)
+			if _, err := sql.ExecSharded(cl, "CREATE TABLE bench (id, grp, val) CAPACITY 4096"); err != nil {
 				b.Fatal(err)
 			}
 			ins := "INSERT INTO bench VALUES "
@@ -143,7 +146,7 @@ func BenchmarkServerBatch(b *testing.B) {
 				}
 				ins += fmt.Sprintf("(%d,%d,%d)", i, i%8, i*3)
 			}
-			if _, err := sql.Exec(db, ins); err != nil {
+			if _, err := sql.ExecSharded(cl, ins); err != nil {
 				b.Fatal(err)
 			}
 			srv := server.New(db, server.Options{})

@@ -23,6 +23,7 @@ import (
 
 	"rcnvm/internal/config"
 	"rcnvm/internal/engine"
+	"rcnvm/internal/shard"
 	"rcnvm/internal/sim"
 	"rcnvm/internal/sql"
 	"rcnvm/internal/trace"
@@ -50,6 +51,10 @@ func main() {
 		}
 		fmt.Printf("loaded snapshot %s\n", *loadFlag)
 	}
+	// The shell is one session on a 1-shard cluster. .trace brackets each
+	// statement with the shell's own StartTrace/StopTrace rather than
+	// sql.Opts.Trace, which rejects EXPLAIN.
+	cl := shard.Wrap(db)
 	tables := []string{}
 	tracing := false
 
@@ -75,7 +80,7 @@ func main() {
 		case line == "":
 			continue
 		case strings.HasPrefix(line, "."):
-			if quit := meta(db, line, &tracing, tables); quit {
+			if quit := meta(cl, line, &tracing, tables); quit {
 				return
 			}
 			continue
@@ -84,7 +89,7 @@ func main() {
 		if tracing {
 			db.StartTrace()
 		}
-		res, err := sql.Exec(db, line)
+		res, err := sql.ExecSharded(cl, line)
 		var stream trace.Stream
 		if tracing {
 			stream = db.StopTrace()
@@ -105,7 +110,8 @@ func main() {
 	}
 }
 
-func meta(db *engine.DB, line string, tracing *bool, tables []string) bool {
+func meta(cl *shard.Cluster, line string, tracing *bool, tables []string) bool {
+	db := cl.Shard(0)
 	fields := strings.Fields(line)
 	switch fields[0] {
 	case ".quit", ".exit":
@@ -203,7 +209,7 @@ meta:       .tables  .trace on|off  .counts  .save FILE
 			"SELECT AVG(salary), COUNT(*) FROM person WHERE age > 28",
 		} {
 			fmt.Println("rcnvm-db>", stmt)
-			res, err := sql.Exec(db, stmt)
+			res, err := sql.ExecSharded(cl, stmt)
 			if err != nil {
 				fmt.Println("error:", err)
 				return false

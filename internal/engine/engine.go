@@ -44,8 +44,8 @@ const (
 // engine's methods do not acquire it themselves — callers lock at
 // *statement* granularity so that a multi-step operation (a WHERE scan
 // followed by a projection, say) sees one consistent snapshot. The
-// discipline, enforced by sql.ExecLocked / sql.ExecTraced and
-// internal/server:
+// discipline, enforced by sql.Exec (the one statement entry point, which
+// internal/server and the shells call):
 //
 //   - RLock for read-only work: Tuple, Field, Scan*, aggregates, Project,
 //     Join, Save, ExportCSV. Any number of readers may run in parallel —
@@ -55,8 +55,8 @@ const (
 //     (StartTrace … StopTrace), since the trace buffer is shared state
 //     and a concurrent reader would pollute the recorded stream.
 //
-// Single-threaded users (the CLI shells, examples, most tests) may simply
-// ignore the lock.
+// Single-threaded users (WAL replay through sql.Run, the shell's meta
+// commands, examples) may simply ignore the lock.
 type DB struct {
 	sync.RWMutex
 

@@ -6,29 +6,13 @@ import (
 	"rcnvm/internal/par"
 )
 
-// The simulation sweeps are embarrassingly parallel: every (configuration x
-// query) cell builds a fresh sim.System with its own event engine, caches
-// and stats, so cells share no mutable state. The runner lives in
-// internal/par (it is also the fan-out engine for the sharded SQL
-// executor); the wrappers below keep this package's historical API so
-// sweep call sites and external tooling stay unchanged.
-
-// Workers resolves a worker-count flag value: n <= 0 means one worker per
-// available CPU (runtime.GOMAXPROCS(0)).
-func Workers(n int) int { return par.Workers(n) }
-
-// RunCells executes cells 0..n-1, each exactly once, on up to workers
-// goroutines (workers <= 0 selects Workers(0); workers == 1 runs inline
-// with no goroutines). If cells fail, the error of the lowest-indexed
-// observed failure is returned and the remaining cells are cancelled.
-// Cancelling ctx stops the sweep between cells and returns ctx's error.
-func RunCells(ctx context.Context, workers, n int, run func(i int) error) error {
-	return par.RunCells(ctx, workers, n, run)
-}
-
-// Sweep runs fn over n independent cells with RunCells and returns the
-// results slotted by cell index, so callers assemble tables in a fixed
-// order regardless of which worker finished which cell first.
+// Sweep runs fn over n independent simulation cells on up to workers
+// goroutines (internal/par) and returns the results slotted by cell index,
+// so callers assemble tables in a fixed order regardless of which worker
+// finished which cell first. Every (configuration x query) cell builds a
+// fresh sim.System with its own event engine, caches and stats, so cells
+// share no mutable state. Besides this package's sweeps, the benchmark
+// (perfbench/golden.go) calls it to reproduce QueryBench cell by cell.
 func Sweep[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	return par.Sweep[T](ctx, workers, n, fn)
 }

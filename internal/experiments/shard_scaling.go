@@ -93,7 +93,7 @@ func runShardCount(n, workers int) (shardRun, error) {
 		}
 	}
 	for _, q := range workload.SQLQueries() {
-		res, streams, err := sql.ExecShardedTraced(c, q.SQL)
+		res, streams, err := sql.Exec(c, q.SQL, sql.Opts{Trace: true})
 		if err != nil {
 			return r, fmt.Errorf("shard sweep: %s: %w", q.ID, err)
 		}

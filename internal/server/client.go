@@ -341,9 +341,6 @@ func allReadOnly(stmts []string) bool {
 	return true
 }
 
-// Attempts exposes how many tries do would make (tests).
-func (r *RetryClient) Attempts() int { return r.pol.MaxAttempts }
-
 // Retry counter names, in the same namespace style as the server's.
 const (
 	ClientRetries = "client.retries" // resends beyond each request's first attempt

@@ -653,20 +653,11 @@ func (s *Server) execute(req *Request) (resp *Response) {
 	if req.TraceID != 0 {
 		tid = req.TraceID
 	}
-	var (
-		res     *sql.Result
-		streams []trace.Stream
-		err     error
-	)
 	if req.Timing {
-		// Timing replays record full access traces and run under the
-		// exclusive lock; the plan cache is a hot-path optimization, so the
-		// traced path stays on the uncached parser by design.
 		s.met.Set.Inc(TimedQueries)
-		res, streams, err = sql.ExecShardedTracedObserved(s.Cluster(), req.Query, rec, tid)
-	} else {
-		res, err = sql.ExecShardedObservedCached(s.Cluster(), s.plans, req.Query, rec, tid)
 	}
+	res, streams, err := sql.Exec(s.Cluster(), req.Query,
+		sql.Opts{Plans: s.plans, Rec: rec, TID: tid, Trace: req.Timing})
 	if err != nil {
 		return s.execError(req.ID, start, err)
 	}

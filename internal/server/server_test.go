@@ -117,6 +117,85 @@ func TestTimingAttribution(t *testing.T) {
 	}
 }
 
+// TestTimedPathUsesPlanCache: timed statements parse through the plan
+// cache like untimed ones. A repeated timed statement counts a plan-cache
+// hit on /stats, and its rows and Timing are byte-identical to its first
+// (uncached) execution and to a server with the cache disabled.
+func TestTimedPathUsesPlanCache(t *testing.T) {
+	queries := []string{
+		"SELECT SUM(v) FROM w WHERE id > 10",
+		"SELECT SUM(v) FROM w WHERE id > 10",  // exact-template hit
+		"SELECT SUM(v) FROM w WHERE id > 250", // same shape, rebound literal
+	}
+	run := func(opts Options) (answers []string, hits []int64) {
+		t.Helper()
+		s, addr := newTestServer(t, opts)
+		haddr, err := s.ListenHTTP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		mustQuery(t, c, "CREATE TABLE w (id, v) CAPACITY 4096")
+		var ins bytes.Buffer
+		ins.WriteString("INSERT INTO w VALUES ")
+		for i := 0; i < 256; i++ {
+			if i > 0 {
+				ins.WriteByte(',')
+			}
+			fmt.Fprintf(&ins, "(%d,%d)", i, i%7)
+		}
+		mustQuery(t, c, ins.String())
+		for _, q := range queries {
+			resp, err := c.QueryTimed(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Timing == nil || resp.Timing.MemOps == 0 {
+				t.Fatalf("%q: no timing in %+v", q, resp)
+			}
+			out, err := json.Marshal(struct {
+				Rows   [][]uint64
+				Timing *Timing
+			}{resp.Rows, resp.Timing})
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers = append(answers, string(out))
+
+			hr, err := http.Get("http://" + haddr.String() + "/stats")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap StatsSnapshot
+			err = json.NewDecoder(hr.Body).Decode(&snap)
+			hr.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			hits = append(hits, snap.Counters[PlanCacheHits])
+		}
+		return answers, hits
+	}
+
+	cached, hits := run(Options{})
+	if hits[1] != hits[0]+1 || hits[2] != hits[1]+1 {
+		t.Errorf("%s after each timed statement = %v, want one hit per repeat", PlanCacheHits, hits)
+	}
+	if cached[1] != cached[0] {
+		t.Errorf("cached timed repeat differs from first execution:\n%s\n%s", cached[0], cached[1])
+	}
+	uncached, _ := run(Options{PlanCacheSize: -1})
+	for i := range queries {
+		if cached[i] != uncached[i] {
+			t.Errorf("%q: cached server answered\n%s\nuncached server answered\n%s", queries[i], cached[i], uncached[i])
+		}
+	}
+}
+
 func TestHTTPQueryAndStats(t *testing.T) {
 	s, _ := newTestServer(t, Options{})
 	haddr, err := s.ListenHTTP("127.0.0.1:0")

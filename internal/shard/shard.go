@@ -76,9 +76,9 @@ func Open(mode engine.Mode, n, workers int) (*Cluster, error) {
 }
 
 // Wrap presents an existing single database as a 1-shard cluster. The
-// executor short-circuits N==1 to the plain locked path, so a wrapped
-// database behaves exactly as it did unsharded (tables created directly
-// on db stay fully usable).
+// executor runs every statement on a 1-shard cluster unmodified against
+// its one database, so a wrapped database behaves exactly as it did
+// unsharded (tables created directly on db stay fully usable).
 func Wrap(db *engine.DB) *Cluster {
 	return &Cluster{shards: []*engine.DB{db}, tables: make(map[string]*tableMap)}
 }

@@ -40,7 +40,6 @@ package sql
 import (
 	"context"
 
-	"rcnvm/internal/engine"
 	"rcnvm/internal/par"
 	"rcnvm/internal/shard"
 )
@@ -49,100 +48,10 @@ import (
 // lock round, grouped shard fan-outs, and one group-commit wait for the
 // whole batch. results[i]/errs[i] mirror what ExecSharded(stmts[i]) would
 // have returned on a single session issuing the statements sequentially.
-func ExecBatchSharded(c *shard.Cluster, pc *PlanCache, stmts []string) (results []*Result, errs []error) {
-	if c.N() == 1 {
-		return execBatchSingle(c.Shard(0), pc, stmts)
-	}
-	return execBatchScatter(c, pc, stmts)
-}
-
-// execBatchSingle is the 1-shard fast path: one lock acquisition (read
-// mode iff every statement is read-only), all WAL appends before any
-// durability wait.
-func execBatchSingle(db *engine.DB, pc *PlanCache, stmts []string) ([]*Result, []error) {
-	n := len(stmts)
-	results := make([]*Result, n)
-	errs := make([]error, n)
-	sts := make([]Statement, n)
-	readOnly := true
-	for i, src := range stmts {
-		st, err := pc.Parse(src)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		sts[i] = st
-		if !ReadOnly(st) {
-			readOnly = false
-		}
-	}
-	if readOnly {
-		db.RLock()
-		for i, st := range sts {
-			if st == nil {
-				continue
-			}
-			results[i], errs[i] = Run(db, st)
-		}
-		db.RUnlock()
-		return results, errs
-	}
-	waits := make([]func() error, n)
-	db.Lock()
-	for i, st := range sts {
-		if st == nil {
-			continue
-		}
-		results[i], errs[i] = Run(db, st)
-		waits[i] = logCommit(db, st, stmts[i], errs[i])
-	}
-	db.Unlock()
-	for i, w := range waits {
-		if werr := awaitDurable(w); werr != nil && errs[i] == nil {
-			results[i], errs[i] = nil, werr
-		}
-	}
-	for i, st := range sts {
-		if st != nil {
-			invalidateOnDDL(pc, st, errs[i])
-		}
-	}
-	return results, errs
-}
-
-// Batch group kinds: a statement joins a grouped fan-out only when it
-// broadcasts to every shard and its per-shard work is independent of the
-// other shards (plain SELECTs; UPDATE/DELETE). Everything else — point
-// queries, joins, INSERT (sequential global-id assignment), DDL, EXPLAIN
-// — dispatches on its own.
-type groupKind uint8
-
-const (
-	groupNone groupKind = iota
-	groupRead
-	groupWrite
-)
-
-func classifyGroup(c *shard.Cluster, st Statement, targets []int) groupKind {
-	if len(targets) != c.N() {
-		return groupNone
-	}
-	switch s := st.(type) {
-	case *Select:
-		if s.JoinTable != "" {
-			return groupNone
-		}
-		return groupRead
-	case *Update, *Delete:
-		return groupWrite
-	}
-	return groupNone
-}
-
-// execBatchScatter is the N>1 path: route every statement in order, lock
-// all shards once, execute in order with grouped fan-outs, unlock, then
-// run every durability wait.
-func execBatchScatter(c *shard.Cluster, pc *PlanCache, stmts []string) ([]*Result, []error) {
+// The batch routes every statement in order, locks all shards once (read
+// mode iff every statement is read-only), executes in order with grouped
+// fan-outs, unlocks, then runs every durability wait.
+func ExecBatchSharded(c *shard.Cluster, pc *PlanCache, stmts []string) ([]*Result, []error) {
 	n := len(stmts)
 	results := make([]*Result, n)
 	errs := make([]error, n)
@@ -174,9 +83,10 @@ func execBatchScatter(c *shard.Cluster, pc *PlanCache, stmts []string) ([]*Resul
 	}
 
 	waits := make([][]func() error, n)
-	unlock := lockShards(c, allShards(c), exclusive)
+	all := allShards(c)
+	lockShards(c, all, exclusive)
 	func() {
-		defer unlock() // panic-safe; the normal path returns through here
+		defer unlockShards(c, all, exclusive) // panic-safe; the normal path returns through here
 		i := 0
 		for i < n {
 			if sts[i] == nil {
@@ -222,6 +132,36 @@ func execBatchScatter(c *shard.Cluster, pc *PlanCache, stmts []string) ([]*Resul
 		}
 	}
 	return results, errs
+}
+
+// Batch group kinds: a statement joins a grouped fan-out only when it
+// broadcasts to every shard and its per-shard work is independent of the
+// other shards (plain SELECTs; UPDATE/DELETE). Everything else — point
+// queries, joins, INSERT (sequential global-id assignment), DDL, EXPLAIN
+// — dispatches on its own. On a 1-shard cluster nothing groups: every
+// statement dispatches on its own, exactly as it would unbatched.
+type groupKind uint8
+
+const (
+	groupNone groupKind = iota
+	groupRead
+	groupWrite
+)
+
+func classifyGroup(c *shard.Cluster, st Statement, targets []int) groupKind {
+	if c.N() == 1 || len(targets) != c.N() {
+		return groupNone
+	}
+	switch s := st.(type) {
+	case *Select:
+		if s.JoinTable != "" {
+			return groupNone
+		}
+		return groupRead
+	case *Update, *Delete:
+		return groupWrite
+	}
+	return groupNone
 }
 
 // runGroupedSelects executes a run of broadcast SELECTs in one fan-out:

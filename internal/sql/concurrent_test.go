@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"rcnvm/internal/engine"
+	"rcnvm/internal/shard"
 	"rcnvm/internal/sql"
 )
 
 // TestConcurrentDualVsRowOnly is the -race stress test for the concurrent
 // engine: N goroutines mix SELECT, INSERT, UPDATE and DELETE on one DB
-// through sql.ExecLocked, and the whole run executes once on a
+// through sql.ExecSharded on a 1-shard cluster, and the whole run executes once on a
 // DualAddress database and once on a RowOnly database. Every goroutine
 // works a disjoint id range of a shared table (plus reads of a shared
 // immutable table), so its observed results are deterministic despite the
@@ -27,12 +28,13 @@ func TestConcurrentDualVsRowOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		c := shard.Wrap(db)
 		for _, q := range []string{
 			"CREATE TABLE fixed (id, v) CAPACITY 64",
 			"INSERT INTO fixed VALUES (1,100),(2,200),(3,300)",
 			"CREATE TABLE mixed (id, grp, v) CAPACITY 4096",
 		} {
-			if _, err := sql.ExecLocked(db, q); err != nil {
+			if _, err := sql.ExecSharded(c, q); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -45,7 +47,7 @@ func TestConcurrentDualVsRowOnly(t *testing.T) {
 				defer wg.Done()
 				lo := g * 1000
 				record := func(q string) {
-					res, err := sql.ExecLocked(db, q)
+					res, err := sql.ExecSharded(c, q)
 					if err != nil {
 						results[g] = append(results[g], "error: "+err.Error())
 						return
@@ -137,11 +139,12 @@ func TestExecTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := shard.Wrap(db)
 	for _, q := range []string{
 		"CREATE TABLE tr (id, v) CAPACITY 64",
 		"INSERT INTO tr VALUES (1,10),(2,20),(3,30),(4,40)",
 	} {
-		if _, err := sql.ExecLocked(db, q); err != nil {
+		if _, err := sql.ExecSharded(c, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +161,7 @@ func TestExecTraced(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := sql.ExecLocked(db, "SELECT SUM(v) FROM tr"); err != nil {
+				if _, err := sql.ExecSharded(c, "SELECT SUM(v) FROM tr"); err != nil {
 					t.Error(err)
 					return
 				}
@@ -167,10 +170,11 @@ func TestExecTraced(t *testing.T) {
 	}
 
 	for i := 0; i < 20; i++ {
-		res, stream, err := sql.ExecTraced(db, "SELECT SUM(v) FROM tr")
+		res, streams, err := sql.Exec(c, "SELECT SUM(v) FROM tr", sql.Opts{Trace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		stream := streams[0]
 		if res.Rows[0][0] != 100 {
 			t.Fatalf("sum = %d, want 100", res.Rows[0][0])
 		}

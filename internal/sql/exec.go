@@ -26,16 +26,9 @@ type Result struct {
 // DefaultCapacity is used when CREATE TABLE omits CAPACITY.
 const DefaultCapacity = 64 * 1024
 
-// Exec parses and executes one statement against the database.
-func Exec(db *engine.DB, src string) (*Result, error) {
-	st, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return Run(db, st)
-}
-
-// Run executes a parsed statement.
+// Run executes a parsed statement on one database without taking its
+// lock: the single-threaded replay path (durable.Apply). Concurrent
+// callers go through Exec.
 func Run(db *engine.DB, st Statement) (*Result, error) {
 	switch s := st.(type) {
 	case *CreateTable:

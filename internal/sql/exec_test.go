@@ -1,0 +1,123 @@
+package sql
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestExecOneShardAllocs pins the N=1 cost of the shared statement
+// scaffold: routing, locking and dispatch add no allocation over running
+// the statement on the single database, so a 1-shard cluster costs what
+// the unsharded engine did (point SELECT 8, SUM 7, point UPDATE 4 through
+// a warm plan cache).
+func TestExecOneShardAllocs(t *testing.T) {
+	c := openCluster(t, 1)
+	pc := NewPlanCache(0)
+	if _, _, err := Exec(c, "CREATE TABLE kv (k, grp, val) CAPACITY 1024", Opts{Plans: pc}); err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < 256; lo += 64 {
+		rows := make([]string, 0, 64)
+		for i := lo; i < lo+64; i++ {
+			rows = append(rows, fmt.Sprintf("(%d, %d, %d)", i, i%8, i*10))
+		}
+		if _, _, err := Exec(c, "INSERT INTO kv VALUES "+strings.Join(rows, ", "), Opts{Plans: pc}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		src string
+		max float64
+	}{
+		{"SELECT val FROM kv WHERE k = 7", 8},
+		{"SELECT SUM(val) FROM kv", 7},
+		{"UPDATE kv SET val = 5 WHERE k = 9", 4},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, _, err := Exec(c, tc.src, Opts{Plans: pc}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("%q: %.1f allocs/stmt on 1 shard, want <= %.0f", tc.src, allocs, tc.max)
+		}
+	}
+}
+
+// panicLog is a commit log whose every append panics, standing in for any
+// failure that unwinds a statement while it holds its shard locks.
+type panicLog struct{}
+
+func (panicLog) LogStatement(string, bool, bool) (func() error, error) {
+	panic("commit log failure")
+}
+
+func (panicLog) LogInsert(string, [][]uint64, []int) (func() error, error) {
+	panic("commit log failure")
+}
+
+// TestPanicReleasesShardLocks: a statement or batch that panics while
+// holding its shard locks (the server recovers such panics and keeps
+// serving) must release them, at one shard as at many — otherwise the
+// next statement blocks forever.
+func TestPanicReleasesShardLocks(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			c := openCluster(t, n)
+			for _, q := range []string{
+				"CREATE TABLE kv (k, grp, val) CAPACITY 64",
+				"INSERT INTO kv VALUES (1, 1, 10), (2, 2, 20)",
+			} {
+				if _, err := ExecSharded(c, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < n; i++ {
+				c.Shard(i).SetCommitLog(panicLog{})
+			}
+			if !runBounded(t, "ExecSharded", func() {
+				_, _ = ExecSharded(c, "INSERT INTO kv VALUES (3, 3, 30)")
+			}) {
+				t.Fatal("ExecSharded: commit-log panic did not propagate")
+			}
+			if !runBounded(t, "ExecBatchSharded", func() {
+				_, _ = ExecBatchSharded(c, nil, []string{"UPDATE kv SET val = 0 WHERE grp = 1"})
+			}) {
+				t.Fatal("ExecBatchSharded: commit-log panic did not propagate")
+			}
+			for i := 0; i < n; i++ {
+				c.Shard(i).SetCommitLog(nil)
+			}
+			var err error
+			if runBounded(t, "next statement", func() {
+				_, err = ExecSharded(c, "UPDATE kv SET val = 1 WHERE grp = 2")
+			}) {
+				t.Fatal("next statement panicked")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// runBounded runs f on its own goroutine and reports whether it panicked.
+// It fails the test when f neither returns nor panics within a deadline:
+// the symptom of a shard lock an earlier panic left held.
+func runBounded(t *testing.T, what string, f func()) (panicked bool) {
+	t.Helper()
+	done := make(chan bool, 1)
+	go func() {
+		defer func() { done <- recover() != nil }()
+		f()
+	}()
+	select {
+	case panicked = <-done:
+		return panicked
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s blocked: an earlier panicking statement leaked its shard lock", what)
+		return false
+	}
+}

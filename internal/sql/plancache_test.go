@@ -17,11 +17,11 @@ func openKV(t testing.TB) *engine.DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Exec(db, "CREATE TABLE kv (k, grp, val) CAPACITY 1024"); err != nil {
+	if _, err := execDB(db, "CREATE TABLE kv (k, grp, val) CAPACITY 1024"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
-		if _, err := Exec(db, fmt.Sprintf("INSERT INTO kv VALUES (%d, %d, %d)", i, i%4, i*10)); err != nil {
+		if _, err := execDB(db, fmt.Sprintf("INSERT INTO kv VALUES (%d, %d, %d)", i, i%4, i*10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,15 +138,8 @@ func TestPlanCacheCachedResultsIdentical(t *testing.T) {
 	pc := NewPlanCache(0)
 	for round := 0; round < 2; round++ {
 		for _, src := range workload {
-			wantRes, wantErr := Exec(plain, src)
-			st, err := pc.Parse(src)
-			var gotRes *Result
-			var gotErr error
-			if err != nil {
-				gotErr = err
-			} else {
-				gotRes, gotErr = runLocked(cached, st, src)
-			}
+			wantRes, wantErr := execDB(plain, src)
+			gotRes, _, gotErr := Exec(shard.Wrap(cached), src, Opts{Plans: pc})
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("round %d %q: err %v vs cached %v", round, src, wantErr, gotErr)
 			}
@@ -192,7 +185,7 @@ func TestPlanCacheShardedScatter(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, src := range workload {
 			wantRes, wantErr := ExecSharded(plain, src)
-			gotRes, gotErr := ExecShardedCached(cached, pc, src)
+			gotRes, _, gotErr := Exec(cached, src, Opts{Plans: pc})
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("round %d %q: err %v vs cached %v", round, src, wantErr, gotErr)
 			}
@@ -214,18 +207,18 @@ func TestPlanCacheDDLInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc := NewPlanCache(0)
-	if _, err := ExecShardedCached(c, pc, "CREATE TABLE a (x, y) CAPACITY 64"); err != nil {
+	if _, _, err := Exec(c, "CREATE TABLE a (x, y) CAPACITY 64", Opts{Plans: pc}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecShardedCached(c, pc, "INSERT INTO a VALUES (1, 2)"); err != nil {
+	if _, _, err := Exec(c, "INSERT INTO a VALUES (1, 2)", Opts{Plans: pc}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecShardedCached(c, pc, "SELECT x FROM a WHERE y = 2"); err != nil {
+	if _, _, err := Exec(c, "SELECT x FROM a WHERE y = 2", Opts{Plans: pc}); err != nil {
 		t.Fatal(err)
 	}
 	_, missesBefore, _ := pc.Counters()
 	// Warm hit.
-	if _, err := ExecShardedCached(c, pc, "SELECT x FROM a WHERE y = 2"); err != nil {
+	if _, _, err := Exec(c, "SELECT x FROM a WHERE y = 2", Opts{Plans: pc}); err != nil {
 		t.Fatal(err)
 	}
 	hitsWarm, misses2, _ := pc.Counters()
@@ -235,17 +228,17 @@ func TestPlanCacheDDLInvalidation(t *testing.T) {
 	}
 	// DDL invalidates: the same statement must MISS once, then hit again.
 	// (The CREATE itself also counts one miss — DDL is never cached.)
-	if _, err := ExecShardedCached(c, pc, "CREATE TABLE b (x, y) CAPACITY 64"); err != nil {
+	if _, _, err := Exec(c, "CREATE TABLE b (x, y) CAPACITY 64", Opts{Plans: pc}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecShardedCached(c, pc, "SELECT x FROM a WHERE y = 2"); err != nil {
+	if _, _, err := Exec(c, "SELECT x FROM a WHERE y = 2", Opts{Plans: pc}); err != nil {
 		t.Fatal(err)
 	}
 	_, missesAfterDDL, _ := pc.Counters()
 	if missesAfterDDL != misses2+2 {
 		t.Fatalf("post-DDL repeat: want misses for the CREATE and the invalidated SELECT, got %d -> %d", misses2, missesAfterDDL)
 	}
-	if _, err := ExecShardedCached(c, pc, "SELECT x FROM a WHERE y = 2"); err != nil {
+	if _, _, err := Exec(c, "SELECT x FROM a WHERE y = 2", Opts{Plans: pc}); err != nil {
 		t.Fatal(err)
 	}
 	hitsEnd, missesEnd, _ := pc.Counters()
@@ -255,10 +248,10 @@ func TestPlanCacheDDLInvalidation(t *testing.T) {
 	}
 	// A FAILED CREATE must not invalidate: the SELECT after it still hits.
 	// (The CREATE's own parse is one more miss, like all DDL.)
-	if _, err := ExecShardedCached(c, pc, "CREATE TABLE a (x, y) CAPACITY 64"); err == nil {
+	if _, _, err := Exec(c, "CREATE TABLE a (x, y) CAPACITY 64", Opts{Plans: pc}); err == nil {
 		t.Fatal("duplicate CREATE TABLE should fail")
 	}
-	if _, err := ExecShardedCached(c, pc, "SELECT x FROM a WHERE y = 2"); err != nil {
+	if _, _, err := Exec(c, "SELECT x FROM a WHERE y = 2", Opts{Plans: pc}); err != nil {
 		t.Fatal(err)
 	}
 	hitsFinal, missesFinal, _ := pc.Counters()

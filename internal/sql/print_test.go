@@ -99,10 +99,10 @@ func TestExplainRowOnlyEngine(t *testing.T) {
 
 func TestExplainErrors(t *testing.T) {
 	db := newDB(t)
-	if _, err := Exec(db, "EXPLAIN EXPLAIN SELECT 1 FROM x"); err == nil {
+	if _, err := execDB(db, "EXPLAIN EXPLAIN SELECT 1 FROM x"); err == nil {
 		t.Fatal("nested EXPLAIN accepted")
 	}
-	if _, err := Exec(db, "EXPLAIN"); err == nil {
+	if _, err := execDB(db, "EXPLAIN"); err == nil {
 		t.Fatal("bare EXPLAIN accepted")
 	}
 }

@@ -6,24 +6,148 @@ import (
 
 	"rcnvm/internal/engine"
 	"rcnvm/internal/obs"
+	"rcnvm/internal/shard"
 	"rcnvm/internal/trace"
 )
 
-// This file is the concurrency boundary of the SQL layer: engine.DB
-// carries an RWMutex but its methods do not lock it themselves (see the
-// engine.DB doc comment), so statements that should execute atomically
-// against a shared database go through ExecLocked or ExecTraced, which
-// hold the lock for the whole statement. Plain Exec/Run stay unlocked for
-// single-threaded callers.
+// This file is the statement entry point of the SQL layer: every statement
+// a caller executes — one shard or many, timed or not, observed or not —
+// goes through Exec, which runs one scaffold:
+//
+//	parse (through the plan cache when one is given)
+//	route and lock the target shards in ascending shard order
+//	start tracing, dispatch, stop tracing, WAL-log — all under the locks
+//	unlock, then wait for durability
+//
+// It is the concurrency boundary: engine.DB carries an RWMutex but its
+// methods do not lock it themselves (see the engine.DB doc comment), so
+// Exec holds the statement locks for the whole statement — read locks for
+// untraced read-only statements, exclusive otherwise. The locks are
+// released by a deferred unlock, so a panic during execution never leaves
+// a shard locked. Run stays unlocked for single-threaded callers (WAL
+// replay).
 //
 // It is also the durability boundary: when a commit log is installed on
-// the database (engine.DB.SetCommitLog, done by internal/durable), every
+// the shards (engine.DB.SetCommitLog, done by internal/durable), every
 // mutating statement is appended to the WAL while the exclusive lock is
 // still held — so per-log record order equals commit order — and the
 // caller then waits for the fsync AFTER releasing the lock, so concurrent
 // statements batch their fsyncs behind the log's single flusher instead
-// of serializing on the disk. With no log installed (the default), the
-// paths below are unchanged: one nil check, no allocation.
+// of serializing on the disk. With no log installed (the default),
+// logging costs one nil check and no allocation.
+//
+// A 1-shard cluster is the N=1 case of the same scaffold. It differs only
+// at the leaves (dispatchSharded and classifyGroup): the statement runs
+// unmodified on shard 0 and logs a statement record, exactly as a single
+// unsharded database would.
+
+// Opts selects what one Exec call records besides executing the statement.
+// The zero value parses without a cache and records nothing.
+type Opts struct {
+	// Plans is consulted for the parse (nil = plain Parse). A successful
+	// DDL statement bumps its generation so older templates re-parse.
+	Plans *PlanCache
+	// Rec receives the wall-clock phase spans (parse, lock_wait, exec,
+	// and wal_wait when a commit log is installed) under obs.ProcQuery on
+	// lane TID. Nil records nothing.
+	Rec *obs.Recorder
+	TID int64
+	// Trace records each locked shard's memory-access stream. Tracing
+	// forces exclusive locks: the trace buffer is shared DB state, and a
+	// concurrent statement would interleave its accesses into the
+	// recording.
+	Trace bool
+}
+
+// Exec parses and executes one statement across the cluster, holding the
+// per-shard statement locks its sub-plans require. With o.Trace set,
+// streams[i] is shard i's recorded access stream (nil for shards the
+// statement never locked); otherwise streams is nil.
+func Exec(c *shard.Cluster, src string, o Opts) (*Result, []trace.Stream, error) {
+	t0 := time.Now()
+	st, err := o.Plans.Parse(src)
+	o.Rec.WallSince(obs.ProcQuery, "parse", obs.CatSQL, o.TID, t0)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, ok := st.(*Explain); ok && o.Trace {
+		return nil, nil, fmt.Errorf("sql: EXPLAIN already reports timing; run it untraced")
+	}
+	res, streams, err := runSharded(c, st, src, o)
+	invalidateOnDDL(o.Plans, st, err)
+	return res, streams, err
+}
+
+// ExecSharded is Exec with no plan cache, recorder or tracing.
+func ExecSharded(c *shard.Cluster, src string) (*Result, error) {
+	res, _, err := Exec(c, src, Opts{})
+	return res, err
+}
+
+// runSharded is Exec past the parse: route, lock, (trace,) execute, log,
+// merge, unlock, wait for durability.
+func runSharded(c *shard.Cluster, st Statement, src string, o Opts) (*Result, []trace.Stream, error) {
+	targets, exclusive := route(c, st, o.Trace)
+	tLock := time.Now()
+	lockShards(c, targets, exclusive)
+	unlocked := false
+	defer func() {
+		// Panic-safe: the normal path unlocks by hand before the
+		// durability wait below.
+		if !unlocked {
+			unlockShards(c, targets, exclusive)
+		}
+	}()
+	o.Rec.WallSince(obs.ProcQuery, "lock_wait", obs.CatSQL, o.TID, tLock)
+	var streams []trace.Stream
+	if o.Trace {
+		streams = make([]trace.Stream, c.N())
+		for _, i := range targets {
+			c.Shard(i).StartTrace()
+		}
+	}
+	tExec := time.Now()
+	res, waits, err := dispatchSharded(c, st, src, targets)
+	if o.Trace {
+		for _, i := range targets {
+			streams[i] = c.Shard(i).StopTrace()
+		}
+	}
+	o.Rec.WallSince(obs.ProcQuery, "exec", obs.CatSQL, o.TID, tExec)
+	// Release the statement locks before waiting for the WAL fsyncs:
+	// group commit batches concurrent statements' records behind shared
+	// fsyncs, which only helps if the lock is free while waiting.
+	unlocked = true
+	unlockShards(c, targets, exclusive)
+	if len(waits) > 0 {
+		tWal := time.Now()
+		werr := awaitAll(waits)
+		o.Rec.WallSince(obs.ProcQuery, "wal_wait", obs.CatSQL, o.TID, tWal)
+		if werr != nil && err == nil {
+			err = werr
+		}
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, streams, nil
+}
+
+// invalidateOnDDL bumps the plan-cache generation after a successful
+// schema change (CREATE TABLE, bare or under EXPLAIN ANALYZE).
+func invalidateOnDDL(pc *PlanCache, st Statement, execErr error) {
+	if pc == nil || execErr != nil {
+		return
+	}
+	switch s := st.(type) {
+	case *CreateTable:
+		pc.Invalidate()
+	case *Explain:
+		if _, ok := s.Stmt.(*CreateTable); ok && s.Analyze {
+			pc.Invalidate()
+		}
+	}
+}
 
 // ReadOnly reports whether a statement only reads database state, and may
 // therefore run under the shared (read) lock concurrently with other
@@ -81,8 +205,8 @@ func logShard(db *engine.DB, src string, failed, unstable bool) func() error {
 }
 
 // logCommit records a mutating statement on a single database's commit
-// log (the unsharded / 1-shard path). Call with the exclusive lock held,
-// immediately after Run; execErr marks failed statements so recovery
+// log (the 1-shard leaf of dispatchSharded). Call with the exclusive lock
+// held, immediately after Run; execErr marks failed statements so recovery
 // replays their partial effects leniently.
 func logCommit(db *engine.DB, st Statement, src string, execErr error) func() error {
 	if db.CommitLog() == nil || !mutates(st) {
@@ -95,158 +219,4 @@ func logCommit(db *engine.DB, st Statement, src string, execErr error) func() er
 		src = StatementText(ex.Stmt)
 	}
 	return logShard(db, src, execErr != nil, false)
-}
-
-// awaitDurable runs a durability wait (nil = already durable). Call after
-// releasing the statement lock.
-func awaitDurable(wait func() error) error {
-	if wait == nil {
-		return nil
-	}
-	return wait()
-}
-
-// ExecLocked parses and executes one statement while holding db's lock in
-// the mode the statement requires: the read lock for read-only statements
-// (concurrent SELECTs proceed in parallel), the write lock for everything
-// that mutates. Mutations are WAL-logged under the lock and waited for
-// durability after it.
-func ExecLocked(db *engine.DB, src string) (*Result, error) {
-	st, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return runLocked(db, st, src)
-}
-
-// runLocked is ExecLocked past the parse: it executes an already-parsed
-// statement under the lock mode the statement requires. The statement may
-// be a shared plan-cache template; it is never mutated.
-func runLocked(db *engine.DB, st Statement, src string) (*Result, error) {
-	if ReadOnly(st) {
-		db.RLock()
-		defer db.RUnlock()
-		return Run(db, st)
-	}
-	db.Lock()
-	res, err := Run(db, st)
-	wait := logCommit(db, st, src, err)
-	db.Unlock()
-	if werr := awaitDurable(wait); werr != nil && err == nil {
-		return nil, werr
-	}
-	return res, err
-}
-
-// ExecObserved is ExecLocked with wall-clock phase spans (parse,
-// lock_wait, exec, and wal_wait when a commit log is installed) recorded
-// under process obs.ProcQuery on lane tid. A nil recorder degrades to
-// plain ExecLocked.
-func ExecObserved(db *engine.DB, src string, rec *obs.Recorder, tid int64) (*Result, error) {
-	if rec == nil {
-		return ExecLocked(db, src)
-	}
-	t0 := time.Now()
-	st, err := Parse(src)
-	rec.WallSince(obs.ProcQuery, "parse", obs.CatSQL, tid, t0)
-	if err != nil {
-		return nil, err
-	}
-	return runObserved(db, st, src, rec, tid)
-}
-
-// runObserved is ExecObserved past the parse (the caller has already
-// recorded its own parse span).
-func runObserved(db *engine.DB, st Statement, src string, rec *obs.Recorder, tid int64) (*Result, error) {
-	if rec == nil {
-		return runLocked(db, st, src)
-	}
-	tLock := time.Now()
-	if ReadOnly(st) {
-		db.RLock()
-		defer db.RUnlock()
-		rec.WallSince(obs.ProcQuery, "lock_wait", obs.CatSQL, tid, tLock)
-		tExec := time.Now()
-		res, err := Run(db, st)
-		rec.WallSince(obs.ProcQuery, "exec", obs.CatSQL, tid, tExec)
-		return res, err
-	}
-	db.Lock()
-	rec.WallSince(obs.ProcQuery, "lock_wait", obs.CatSQL, tid, tLock)
-	tExec := time.Now()
-	res, err := Run(db, st)
-	wait := logCommit(db, st, src, err)
-	rec.WallSince(obs.ProcQuery, "exec", obs.CatSQL, tid, tExec)
-	db.Unlock()
-	if wait != nil {
-		tWal := time.Now()
-		werr := wait()
-		rec.WallSince(obs.ProcQuery, "wal_wait", obs.CatSQL, tid, tWal)
-		if werr != nil && err == nil {
-			return nil, werr
-		}
-	}
-	return res, err
-}
-
-// ExecTracedObserved is ExecTraced with the same wall-clock phase spans as
-// ExecObserved. A nil recorder degrades to plain ExecTraced.
-func ExecTracedObserved(db *engine.DB, src string, rec *obs.Recorder, tid int64) (*Result, trace.Stream, error) {
-	if rec == nil {
-		return ExecTraced(db, src)
-	}
-	t0 := time.Now()
-	st, err := Parse(src)
-	rec.WallSince(obs.ProcQuery, "parse", obs.CatSQL, tid, t0)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, ok := st.(*Explain); ok {
-		return nil, nil, fmt.Errorf("sql: EXPLAIN already reports timing; run it untraced")
-	}
-	tLock := time.Now()
-	db.Lock()
-	rec.WallSince(obs.ProcQuery, "lock_wait", obs.CatSQL, tid, tLock)
-	tExec := time.Now()
-	db.StartTrace()
-	res, err := Run(db, st)
-	stream := db.StopTrace()
-	wait := logCommit(db, st, src, err)
-	rec.WallSince(obs.ProcQuery, "exec", obs.CatSQL, tid, tExec)
-	db.Unlock()
-	if werr := awaitDurable(wait); werr != nil && err == nil {
-		err = werr
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, stream, nil
-}
-
-// ExecTraced parses and executes one statement under the exclusive lock
-// with access recording on, returning the recorded memory-access stream
-// alongside the result. The exclusive lock is required even for SELECTs:
-// the trace buffer is shared DB state, and a concurrent statement would
-// interleave its accesses into the recording.
-func ExecTraced(db *engine.DB, src string) (*Result, trace.Stream, error) {
-	st, err := Parse(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, ok := st.(*Explain); ok {
-		return nil, nil, fmt.Errorf("sql: EXPLAIN already reports timing; run it untraced")
-	}
-	db.Lock()
-	db.StartTrace()
-	res, err := Run(db, st)
-	stream := db.StopTrace()
-	wait := logCommit(db, st, src, err)
-	db.Unlock()
-	if werr := awaitDurable(wait); werr != nil && err == nil {
-		err = werr
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, stream, nil
 }
