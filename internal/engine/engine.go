@@ -55,8 +55,9 @@ const (
 //     (StartTrace … StopTrace), since the trace buffer is shared state
 //     and a concurrent reader would pollute the recorded stream.
 //
-// Single-threaded users (WAL replay through sql.Run, the shell's meta
-// commands, examples) may simply ignore the lock.
+// Single-threaded users (WAL replay, which re-executes mutations through
+// sql.Run, the shell's meta commands, examples) may simply ignore the
+// lock.
 type DB struct {
 	sync.RWMutex
 

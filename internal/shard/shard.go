@@ -170,8 +170,12 @@ func (c *Cluster) Assign(name string, shard, local int) (int, error) {
 	return g, nil
 }
 
-// Global returns the global id of (shard, local) for name.
+// Global returns the global id of (shard, local) for name. A 1-shard
+// cluster keeps no registry: its local row ids are the global ids.
 func (c *Cluster) Global(name string, shard, local int) (int, bool) {
+	if len(c.shards) == 1 {
+		return local, true
+	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	tm, ok := c.tables[name]

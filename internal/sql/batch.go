@@ -170,25 +170,23 @@ func classifyGroup(c *shard.Cluster, st Statement, targets []int) groupKind {
 // memory). A shard-local failure of one member does not stop the shard's
 // later members, matching the sequential schedule.
 func runGroupedSelects(c *shard.Cluster, sts []Statement, members []int, results []*Result, errs []error) {
-	parts := make([][]selPartial, len(members))
-	for m := range parts {
-		parts[m] = make([]selPartial, c.N())
-	}
-	_ = par.RunCells(context.Background(), c.Workers(), c.N(), func(sh int) error {
+	n := c.N()
+	parts := make([]selPartial, len(members)*n) // member m: parts[m*n : (m+1)*n]
+	_ = par.RunCells(context.Background(), c.Workers(), n, func(sh int) error {
 		for m, idx := range members {
-			parts[m][sh] = selectOnShard(c, sh, sts[idx].(*Select))
+			parts[m*n+sh] = selectOnShard(c, sh, sts[idx].(*Select))
 		}
 		return nil
 	})
 	for m, idx := range members {
-		results[idx], errs[idx] = mergeSelect(c, sts[idx].(*Select), parts[m])
+		results[idx], errs[idx] = mergeSelect(c, sts[idx].(*Select), parts[m*n:(m+1)*n])
 	}
 }
 
 // runGroupedMutations executes a run of broadcast UPDATE/DELETEs in one
 // fan-out and then logs each member per shard in statement order — the
 // same per-shard WAL record order the sequential schedule produces, with
-// each shard's own failure flag, like scatterAffected.
+// each shard's own failure flag, like mutateOne.
 func runGroupedMutations(c *shard.Cluster, sts []Statement, stmts []string, members []int, results []*Result, errs []error, waits [][]func() error) {
 	type slot struct {
 		res *Result
@@ -199,14 +197,8 @@ func runGroupedMutations(c *shard.Cluster, sts []Statement, stmts []string, memb
 		out[m] = make([]slot, c.N())
 	}
 	_ = par.RunCells(context.Background(), c.Workers(), c.N(), func(sh int) error {
-		db := c.Shard(sh)
 		for m, idx := range members {
-			switch s := sts[idx].(type) {
-			case *Update:
-				out[m][sh].res, out[m][sh].err = runUpdate(db, s)
-			case *Delete:
-				out[m][sh].res, out[m][sh].err = runDelete(db, s)
-			}
+			out[m][sh].res, out[m][sh].err = Run(c.Shard(sh), sts[idx])
 		}
 		return nil
 	})

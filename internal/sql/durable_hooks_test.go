@@ -1,9 +1,10 @@
 package sql
 
 import (
+	"strings"
 	"testing"
 
-	"rcnvm/internal/engine"
+	"rcnvm/internal/shard"
 )
 
 // TestLogCommitNilPathAllocatesNothing pins the volatile-server
@@ -11,44 +12,58 @@ import (
 // durability hooks on the write path cost one nil check and zero
 // allocations.
 func TestLogCommitNilPathAllocatesNothing(t *testing.T) {
-	db, err := engine.Open(engine.DualAddress)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := Parse("UPDATE kv SET val = 1 WHERE k = 2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := newDB(t)
 	allocs := testing.AllocsPerRun(200, func() {
-		if wait := logCommit(db, st, "UPDATE kv SET val = 1 WHERE k = 2", nil); wait != nil {
+		if wait := logShard(db, "UPDATE kv SET val = 1 WHERE k = 2", false, false); wait != nil {
 			t.Fatal("nil commit log produced a wait func")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("volatile logCommit path allocates %.1f/op, want 0", allocs)
+		t.Fatalf("volatile logShard path allocates %.1f/op, want 0", allocs)
 	}
 }
 
+// recordLog is a commit log that keeps the text of every record.
+type recordLog struct{ recs []string }
+
+func (l *recordLog) LogStatement(src string, _, _ bool) (func() error, error) {
+	l.recs = append(l.recs, src)
+	return nil, nil
+}
+
+func (l *recordLog) LogInsert(table string, _ [][]uint64, _ []int) (func() error, error) {
+	l.recs = append(l.recs, "insert into "+table)
+	return nil, nil
+}
+
+// TestMutatesRecursesIntoExplainAnalyze: a statement reaches the WAL
+// exactly when it changes state recovery must reproduce. EXPLAIN ANALYZE
+// executes its inner statement, so it is logged exactly when the inner
+// statement mutates, under the inner statement's text.
 func TestMutatesRecursesIntoExplainAnalyze(t *testing.T) {
-	cases := []struct {
-		src  string
-		want bool
-	}{
-		{"SELECT COUNT(*) FROM kv", false},
-		{"EXPLAIN SELECT * FROM kv", false},
-		{"EXPLAIN ANALYZE SELECT * FROM kv", false},
-		{"INSERT INTO kv VALUES (1, 2)", true},
-		{"EXPLAIN INSERT INTO kv VALUES (1, 2)", false}, // plan only, never executed
-		{"EXPLAIN ANALYZE INSERT INTO kv VALUES (1, 2)", true},
-		{"EXPLAIN ANALYZE DELETE FROM kv WHERE k = 1", true},
+	cases := []struct{ src, want string }{
+		{"SELECT COUNT(*) FROM kv", ""},
+		{"EXPLAIN SELECT * FROM kv", ""},
+		{"EXPLAIN ANALYZE SELECT * FROM kv", ""},
+		{"INSERT INTO kv VALUES (1, 2)", "INSERT INTO kv VALUES (1, 2)"},
+		{"EXPLAIN INSERT INTO kv VALUES (1, 2)", ""}, // plan only, never executed
+		{"EXPLAIN ANALYZE INSERT INTO kv VALUES (1, 2)", "INSERT INTO kv VALUES (1, 2)"},
+		{"EXPLAIN ANALYZE DELETE FROM kv WHERE k = 1", "DELETE FROM kv WHERE k = 1"},
 	}
+	db := newDB(t)
+	c := shard.Wrap(db)
+	if _, err := ExecSharded(c, "CREATE TABLE kv (k, v)"); err != nil {
+		t.Fatal(err)
+	}
+	log := &recordLog{}
+	db.SetCommitLog(log)
 	for _, tc := range cases {
-		st, err := Parse(tc.src)
-		if err != nil {
+		log.recs = nil
+		if _, err := ExecSharded(c, tc.src); err != nil {
 			t.Fatalf("%s: %v", tc.src, err)
 		}
-		if got := mutates(st); got != tc.want {
-			t.Fatalf("mutates(%q) = %v, want %v", tc.src, got, tc.want)
+		if got := strings.Join(log.recs, "; "); got != tc.want {
+			t.Fatalf("%s: logged %q, want %q", tc.src, got, tc.want)
 		}
 	}
 }

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"rcnvm/internal/config"
 	"rcnvm/internal/engine"
-	"rcnvm/internal/sim"
-	"rcnvm/internal/trace"
 )
 
 // Explain describes how a statement will touch memory: which steps run and
@@ -37,39 +34,6 @@ func (p *parser) explain() (Statement, error) {
 	}
 	ex.Stmt = inner
 	return ex, nil
-}
-
-// runExplain produces the plan text (and, for ANALYZE, executes and
-// times).
-func runExplain(db *engine.DB, ex *Explain) (*Result, error) {
-	var b strings.Builder
-	describe(db, ex.Stmt, &b)
-
-	if !ex.Analyze {
-		return &Result{Message: strings.TrimRight(b.String(), "\n")}, nil
-	}
-
-	db.StartTrace()
-	_, err := Run(db, ex.Stmt)
-	stream := db.StopTrace()
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(&b, "actual: %d memory ops", stream.MemOps())
-	if stream.MemOps() > 0 {
-		dual, err := sim.RunOn(config.RCNVM(), []trace.Stream{stream})
-		if err != nil {
-			return nil, err
-		}
-		row, err := sim.RunOn(config.RCNVM(), []trace.Stream{engine.RowOnlyStream(stream)})
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(&b, "; est. %.1f us with column accesses, %.1f us row-only (%.2fx)",
-			float64(dual.TimePs)/1e6, float64(row.TimePs)/1e6,
-			float64(row.TimePs)/float64(dual.TimePs))
-	}
-	return &Result{Message: b.String()}, nil
 }
 
 // describe renders the access plan of a statement.

@@ -4,16 +4,17 @@ package sql
 // dispatch half of Exec (session.go): one statement is split into
 // per-shard sub-plans, fanned out over the cluster's worker budget, and
 // the partial results merged back into a single Result that is
-// byte-identical to what the 1-shard baseline produces. The 1-shard
-// baseline is the N=1 case of the same path: routing yields shard 0, and
-// dispatchSharded runs the statement there unmodified.
+// byte-identical to what one database holding every row produces. A
+// 1-shard cluster is the N=1 case of the same path: routing yields shard
+// 0, reads run as a single partial plus its merge, and only CREATE TABLE
+// and INSERT, which own the row registry, run there unmodified.
 //
 // Routing: a statement whose WHERE pins the partitioning column with an
 // equality runs on exactly one shard (all matching rows live there);
 // everything else broadcasts. INSERT routes row by row but appends
 // sequentially in statement order so global row ids — the merge order of
-// every gathered result — follow insertion order exactly as baseline row
-// ids do.
+// every gathered result — follow insertion order exactly as one
+// database's row ids do.
 //
 // Locking: the shards a statement touches are locked in ascending shard
 // order (read locks for read-only statements, exclusive otherwise), held
@@ -32,7 +33,6 @@ import (
 	"fmt"
 	"strings"
 
-	"rcnvm/internal/engine"
 	"rcnvm/internal/par"
 	"rcnvm/internal/shard"
 )
@@ -184,17 +184,18 @@ func unlockShards(c *shard.Cluster, targets []int, exclusive bool) {
 // The returned waits are per-shard durability waits the caller must run
 // after releasing the locks (nil/empty when nothing was logged).
 //
-// On a 1-shard cluster the statement runs unmodified on shard 0 and logs
-// one statement record: no registry, no scatter, no insert records — the
-// N=1 cluster is byte-for-byte the single database.
+// Reads run as per-shard partials plus a merge on every cluster size; a
+// single target (1 shard, or a point-routed statement) is a single
+// partial, and a broadcast is a batch group of one. Only CREATE TABLE and
+// INSERT have a 1-shard leaf: they own the row registry, which a 1-shard
+// cluster does not keep, so there they run unmodified on shard 0 and log
+// one statement record, exactly as a single unsharded database would.
 func dispatchSharded(c *shard.Cluster, st Statement, src string, targets []int) (*Result, []func() error, error) {
 	if c.N() == 1 {
-		db := c.Shard(0)
-		res, err := Run(db, st)
-		if w := logCommit(db, st, src, err); w != nil {
-			return res, []func() error{w}, err
+		switch st.(type) {
+		case *CreateTable, *Insert:
+			return mutateOne(c, 0, st, src)
 		}
-		return res, nil, err
 	}
 	switch s := st.(type) {
 	case *CreateTable:
@@ -207,20 +208,23 @@ func dispatchSharded(c *shard.Cluster, st Statement, src string, targets []int) 
 			return res, nil, err
 		}
 		if len(targets) == 1 {
-			// Point query: every matching row lives on this shard, and its
-			// local row order equals the global order, so the unmodified
-			// single-database plan is already the merged answer.
-			res, err := runSelect(c.Shard(targets[0]), s)
+			part := [1]selPartial{selectOnShard(c, targets[0], s)}
+			res, err := mergeSelect(c, s, part[:])
 			return res, nil, err
 		}
-		res, err := scatterSelect(c, s)
-		return res, nil, err
-	case *Update:
-		return scatterAffected(c, targets, src, updateUnstable(c, s),
-			func(db *engine.DB) (*Result, error) { return runUpdate(db, s) })
-	case *Delete:
-		return scatterAffected(c, targets, src, false,
-			func(db *engine.DB) (*Result, error) { return runDelete(db, s) })
+		var res [1]*Result
+		var errs [1]error
+		runGroupedSelects(c, []Statement{s}, []int{0}, res[:], errs[:])
+		return res[0], nil, errs[0]
+	case *Update, *Delete:
+		if len(targets) == 1 {
+			return mutateOne(c, targets[0], st, src)
+		}
+		var res [1]*Result
+		var errs [1]error
+		var waits [1][]func() error
+		runGroupedMutations(c, []Statement{st}, []string{src}, []int{0}, res[:], errs[:], waits[:])
+		return res[0], waits[0], errs[0]
 	case *Explain:
 		return scatterExplain(c, s)
 	default:
@@ -268,7 +272,7 @@ func scatterCreate(c *shard.Cluster, s *CreateTable, src string) (*Result, []fun
 // scatterInsert appends each row on its hash-owner shard, in statement
 // order, assigning global row ids as it goes. Sequential on purpose: a
 // mid-statement failure must leave exactly the earlier rows inserted,
-// like the single-database path. When commit logs are installed, each
+// like the 1-shard INSERT. When commit logs are installed, each
 // shard's appended rows accumulate into one insert record carrying the
 // assigned global ids — flushed even when the statement fails midway, so
 // replay reproduces exactly the rows that landed.
@@ -328,45 +332,18 @@ func scatterInsert(c *shard.Cluster, s *Insert) (*Result, []func() error, error)
 	return &Result{Affected: len(s.Rows)}, flush(), nil
 }
 
-// scatterAffected broadcasts a mutation and sums the affected counts.
-// Every target runs to completion into its own slot, so the merged error
-// (lowest shard) is independent of worker scheduling. Each target logs
-// the statement with its own failure flag: even a failed target may have
+// mutateOne runs a mutation on shard i alone and logs one statement
+// record there with its failure flag: even a failed statement may have
 // partial effects, which deterministic replay reproduces.
-func scatterAffected(c *shard.Cluster, targets []int, src string, unstable bool, run func(db *engine.DB) (*Result, error)) (*Result, []func() error, error) {
-	if len(targets) == 1 {
-		db := c.Shard(targets[0])
-		res, err := run(db)
-		var waits []func() error
-		if w := logShard(db, src, err != nil, unstable); w != nil {
-			waits = []func() error{w}
-		}
-		return res, waits, err
+func mutateOne(c *shard.Cluster, i int, st Statement, src string) (*Result, []func() error, error) {
+	db := c.Shard(i)
+	res, err := Run(db, st)
+	unstable := false
+	if u, ok := st.(*Update); ok {
+		unstable = updateUnstable(c, u)
 	}
-	type slot struct {
-		res *Result
-		err error
+	if w := logShard(db, src, err != nil, unstable); w != nil {
+		return res, []func() error{w}, err
 	}
-	out := make([]slot, len(targets))
-	_ = par.RunCells(context.Background(), c.Workers(), len(targets), func(j int) error {
-		out[j].res, out[j].err = run(c.Shard(targets[j]))
-		return nil
-	})
-	var waits []func() error
-	if c.Shard(targets[0]).CommitLog() != nil {
-		waits = make([]func() error, 0, len(targets))
-		for j := range out {
-			if w := logShard(c.Shard(targets[j]), src, out[j].err != nil, unstable); w != nil {
-				waits = append(waits, w)
-			}
-		}
-	}
-	total := 0
-	for j := range out {
-		if out[j].err != nil {
-			return nil, waits, out[j].err
-		}
-		total += out[j].res.Affected
-	}
-	return &Result{Affected: total}, waits, nil
+	return res, nil, err
 }

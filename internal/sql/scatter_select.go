@@ -1,10 +1,18 @@
 package sql
 
-// Fan-out SELECT sub-plans and their merges. Each per-shard sub-plan
-// follows runSelect's step order exactly (WHERE, ORDER BY key gathering,
-// GROUP BY, aggregates, projection validation) so that schema errors
-// surface identically on every shard and the merged result — including
-// error values — matches the 1-shard baseline byte for byte.
+// The read executor: every SELECT, JOIN and EXPLAIN runs here, on one
+// shard or many. A SELECT runs as one partial per target shard
+// (selectOnShard) plus a merge (mergeSelect). Each partial follows the
+// statement's step order (WHERE, ORDER BY key gathering, GROUP BY,
+// aggregates item by item, projection validation) so that errors surface
+// where one database would raise them, and the merge reproduces the
+// answer — error values included — of running the statement on one
+// database holding every row.
+//
+// A single partial (a 1-shard cluster, or a point-routed statement) is
+// already in merge order: its rows are local row ids in final order and
+// its groups are key-sorted, so the merge uses it as it is — no row
+// references, no registry lookups, no re-sort.
 
 import (
 	"context"
@@ -20,183 +28,184 @@ import (
 	"rcnvm/internal/trace"
 )
 
-// rowRef locates one matched row: merges order by global id, the row's
-// baseline row id.
-type rowRef struct {
-	global int
-	shard  int
-	local  int
-	key    uint64 // ORDER BY sort key (unused otherwise)
-}
-
 // aggCell is one SELECT item's partial aggregate on one shard.
 type aggCell struct {
 	kind   AggKind
 	col    string // resolved column name (output header)
-	sum    uint64 // SUM/AVG partial (wraps like the baseline's uint64 sum)
+	sum    uint64 // SUM/AVG partial (wraps like a single uint64 sum)
 	lo, hi uint64 // MIN/MAX partial
 	n      int    // contributing rows (COUNT, AVG divisor, MIN/MAX emptiness)
+	err    error  // this item failed on this shard; later items did not run
 }
 
-// selPartial is one shard's contribution to a fanned-out SELECT.
+// selPartial is one shard's contribution to a SELECT.
 type selPartial struct {
-	err    error
-	refs   []rowRef
-	aggs   []aggCell
-	groups []engine.GroupRow
+	shard int
+	err   error // a failure before the SELECT items
+	// rows are the plain projection's matched local row ids in merge
+	// order (ORDER BY applied, then LIMIT); keys are their ORDER BY keys.
+	rows   []int
+	keys   []uint64
+	fields []string  // the plain projection's resolved fields
+	aggs   []aggCell // one per SELECT item, through the first failing one
+	// groups are GROUP BY's key-sorted groups over the resolved key and
+	// aggregate columns.
+	groups      []engine.GroupRow
+	key, aggCol string
 }
 
-// selectOnShard runs one shard's sub-plan.
-func selectOnShard(c *shard.Cluster, i int, s *Select) selPartial {
-	db := c.Shard(i)
-	t, err := lookup(db, s.Table)
-	if err != nil {
-		return selPartial{err: err}
+// keyedRows stable-sorts rows by their ORDER BY keys.
+type keyedRows struct {
+	rows []int
+	keys []uint64
+	desc bool
+}
+
+func (k keyedRows) Len() int { return len(k.rows) }
+func (k keyedRows) Less(a, b int) bool {
+	if k.desc {
+		return k.keys[a] > k.keys[b]
 	}
+	return k.keys[a] < k.keys[b]
+}
+func (k keyedRows) Swap(a, b int) {
+	k.rows[a], k.rows[b] = k.rows[b], k.rows[a]
+	k.keys[a], k.keys[b] = k.keys[b], k.keys[a]
+}
+
+// selectOnShard runs shard i's sub-plan.
+func selectOnShard(c *shard.Cluster, i int, s *Select) selPartial {
+	p := selPartial{shard: i}
+	t, err := lookup(c.Shard(i), s.Table)
+	if err != nil {
+		p.err = err
+		return p
+	}
+	// nil rows = every live row, the engine's all-rows form (evalConds
+	// never returns nil).
 	var rows []int
 	if len(s.Where) > 0 {
 		if rows, err = evalConds(t, s.Where); err != nil {
-			return selPartial{err: err}
+			p.err = err
+			return p
 		}
-	} else {
-		rows = t.LiveRows()
 	}
 
 	ordered := s.OrderBy != "" && s.GroupBy == ""
-	var keys map[int]uint64
 	if ordered {
+		if rows == nil {
+			rows = t.LiveRows()
+		}
 		col, err := resolveColumn(t, s.OrderBy)
 		if err != nil {
-			return selPartial{err: err}
+			p.err = err
+			return p
 		}
 		_, words, err := t.Schema().FieldOffset(col)
 		if err != nil {
-			return selPartial{err: err}
+			p.err = err
+			return p
 		}
 		if words != 1 {
-			return selPartial{err: fmt.Errorf("sql: ORDER BY on wide field %q", col)}
+			p.err = fmt.Errorf("sql: ORDER BY on wide field %q", col)
+			return p
 		}
-		keys = make(map[int]uint64, len(rows))
-		for _, row := range rows {
+		p.keys = make([]uint64, len(rows))
+		for j, row := range rows {
 			vals, err := t.Field(row, col)
 			if err != nil {
-				return selPartial{err: err}
+				p.err = err
+				return p
 			}
-			keys[row] = vals[0]
+			p.keys[j] = vals[0]
 		}
+		// Stable: ties keep local order, which is global order within a
+		// shard. Aggregates below then read in sorted order too.
+		sort.Stable(keyedRows{rows, p.keys, s.Desc})
 	}
 
 	if s.GroupBy != "" {
-		key, aggCol, _, err := groupBySpec(t, s)
-		if err != nil {
-			return selPartial{err: err}
+		if p.key, p.aggCol, _, p.err = groupBySpec(t, s); p.err != nil {
+			return p
 		}
-		groups, err := t.GroupSum(key, aggCol, rows)
-		if err != nil {
-			return selPartial{err: err}
-		}
-		return selPartial{groups: groups}
+		p.groups, p.err = t.GroupSum(p.key, p.aggCol, rows)
+		return p
 	}
 
 	if hasAggregates(s) {
-		cells := make([]aggCell, 0, len(s.Items))
+		n := len(rows)
+		if rows == nil {
+			n = t.Live()
+		}
+		p.aggs = make([]aggCell, 0, len(s.Items))
 		for _, it := range s.Items {
-			switch it.Agg {
-			case AggSum:
-				col, err := resolveColumn(t, it.Column)
-				if err != nil {
-					return selPartial{err: err}
-				}
-				v, err := t.SumField(col, rows)
-				if err != nil {
-					return selPartial{err: err}
-				}
-				cells = append(cells, aggCell{kind: AggSum, col: col, sum: v, n: len(rows)})
-			case AggAvg:
-				col, err := resolveColumn(t, it.Column)
-				if err != nil {
-					return selPartial{err: err}
-				}
-				// Partial = raw sum + count; the merge divides once, so the
-				// float result is the baseline's single division.
-				var v uint64
-				if len(rows) > 0 {
-					if v, err = t.SumField(col, rows); err != nil {
-						return selPartial{err: err}
-					}
-				}
-				cells = append(cells, aggCell{kind: AggAvg, col: col, sum: v, n: len(rows)})
-			case AggCount:
-				cells = append(cells, aggCell{kind: AggCount, n: len(rows)})
-			case AggMin, AggMax:
-				col, err := resolveColumn(t, it.Column)
-				if err != nil {
-					return selPartial{err: err}
-				}
-				// Validate width even when this shard holds no matches: the
-				// baseline rejects wide fields before noticing emptiness.
-				_, words, err := t.Schema().FieldOffset(col)
-				if err != nil {
-					return selPartial{err: err}
-				}
-				if words != 1 {
-					return selPartial{err: fmt.Errorf("engine: MIN/MAX over multi-word field %s", col)}
-				}
-				cell := aggCell{kind: it.Agg, col: col}
-				if len(rows) > 0 {
-					lo, hi, err := t.MinMaxField(col, rows)
-					if err != nil {
-						return selPartial{err: err}
-					}
-					cell.lo, cell.hi, cell.n = lo, hi, len(rows)
-				}
-				cells = append(cells, cell)
-			default:
-				return selPartial{err: fmt.Errorf("sql: cannot mix plain columns with aggregates")}
+			cell := aggOnShard(t, it, rows, n)
+			p.aggs = append(p.aggs, cell)
+			if cell.err != nil {
+				break
 			}
 		}
-		return selPartial{aggs: cells}
+		return p
 	}
 
-	// Plain projection: validate the field list here (baseline error
-	// position) but project at merge time, in global-row order.
-	if _, err := selectFields(t, s); err != nil {
-		return selPartial{err: err}
+	// Plain projection: validate the field list here (its error position)
+	// but project at merge time, in global-row order.
+	if p.fields, err = selectFields(t, s); err != nil {
+		p.err = err
+		return p
 	}
-	refs := make([]rowRef, 0, len(rows))
-	for _, row := range rows {
-		g, ok := c.Global(s.Table, i, row)
-		if !ok {
-			return selPartial{err: errUnmanaged(s.Table)}
-		}
-		r := rowRef{global: g, shard: i, local: row}
+	if rows == nil {
+		rows = t.LiveRows()
+	}
+	// LIMIT can truncate per shard: local order is merge order within a
+	// shard, and the merge keeps the first rows overall.
+	if s.Limit > 0 && s.Limit < len(rows) {
+		rows = rows[:s.Limit]
 		if ordered {
-			r.key = keys[row]
+			p.keys = p.keys[:s.Limit]
 		}
-		refs = append(refs, r)
 	}
-	// Unordered LIMIT can truncate per shard: local order is global order
-	// within a shard, and the merge keeps the lowest globals.
-	if !ordered && s.Limit > 0 && s.Limit < len(refs) {
-		refs = refs[:s.Limit]
-	}
-	return selPartial{refs: refs}
+	p.rows = rows
+	return p
 }
 
-// scatterSelect fans a non-join SELECT over every shard and merges.
-func scatterSelect(c *shard.Cluster, s *Select) (*Result, error) {
-	parts := make([]selPartial, c.N())
-	_ = par.RunCells(context.Background(), c.Workers(), c.N(), func(i int) error {
-		parts[i] = selectOnShard(c, i, s)
-		return nil
-	})
-	return mergeSelect(c, s, parts)
+// aggOnShard computes one aggregate item over rows (nil = all n live rows).
+func aggOnShard(t *engine.Table, it SelectItem, rows []int, n int) aggCell {
+	cell := aggCell{kind: it.Agg, n: n}
+	switch it.Agg {
+	case AggNone:
+		cell.err = fmt.Errorf("sql: cannot mix plain columns with aggregates")
+		return cell
+	case AggCount:
+		return cell
+	}
+	if cell.col, cell.err = resolveColumn(t, it.Column); cell.err != nil {
+		return cell
+	}
+	switch it.Agg {
+	case AggSum:
+		cell.sum, cell.err = t.SumField(cell.col, rows)
+	case AggAvg:
+		// Partial = raw sum + count; the merge divides once. Over no rows
+		// AVG is 0 and never reads (or width-checks) the column.
+		if n > 0 {
+			cell.sum, cell.err = t.SumField(cell.col, rows)
+		}
+	case AggMin, AggMax:
+		// Width is checked even on a shard with no matches: MIN/MAX
+		// rejects a wide field before it notices emptiness.
+		if _, words, _ := t.Schema().FieldOffset(cell.col); words != 1 {
+			cell.err = fmt.Errorf("engine: MIN/MAX over multi-word field %s", cell.col)
+		} else if n > 0 {
+			cell.lo, cell.hi, cell.err = t.MinMaxField(cell.col, rows)
+		}
+	}
+	return cell
 }
 
-// mergeSelect combines per-shard partials into the final Result (locks
-// must still be held: merging projects rows out of shard memory). Shared
-// with the batch executor, whose grouped fan-out produces the partials for
-// several SELECTs in one round trip. The lowest shard's error wins.
+// mergeSelect combines per-shard partials, in ascending shard order, into
+// the final Result (locks must still be held: merging projects rows out
+// of shard memory). The lowest shard's error wins.
 func mergeSelect(c *shard.Cluster, s *Select, parts []selPartial) (*Result, error) {
 	for i := range parts {
 		if parts[i].err != nil {
@@ -204,7 +213,7 @@ func mergeSelect(c *shard.Cluster, s *Select, parts []selPartial) (*Result, erro
 		}
 	}
 	if s.GroupBy != "" {
-		return mergeGroups(c, s, parts)
+		return mergeGroups(s, parts)
 	}
 	if hasAggregates(s) {
 		return mergeAggregates(parts, s)
@@ -213,44 +222,61 @@ func mergeSelect(c *shard.Cluster, s *Select, parts []selPartial) (*Result, erro
 }
 
 // mergeGroups re-merges per-shard GroupSum partials by key.
-func mergeGroups(c *shard.Cluster, s *Select, parts []selPartial) (*Result, error) {
-	t0, err := lookup(c.Shard(0), s.Table)
-	if err != nil {
-		return nil, err
-	}
-	key, aggCol, agg, err := groupBySpec(t0, s)
-	if err != nil {
-		return nil, err
-	}
-	acc := make(map[uint64]*engine.GroupRow)
-	for _, p := range parts {
-		for _, g := range p.groups {
-			m, ok := acc[g.Key]
-			if !ok {
-				m = &engine.GroupRow{Key: g.Key}
-				acc[g.Key] = m
+func mergeGroups(s *Select, parts []selPartial) (*Result, error) {
+	groups := parts[0].groups
+	if len(parts) > 1 {
+		acc := make(map[uint64]*engine.GroupRow)
+		for _, p := range parts {
+			for _, g := range p.groups {
+				m, ok := acc[g.Key]
+				if !ok {
+					m = &engine.GroupRow{Key: g.Key}
+					acc[g.Key] = m
+				}
+				m.Sum += g.Sum
+				m.Count += g.Count
 			}
-			m.Sum += g.Sum
-			m.Count += g.Count
+		}
+		groups = make([]engine.GroupRow, 0, len(acc))
+		for _, g := range acc {
+			groups = append(groups, *g)
+		}
+		sort.Slice(groups, func(a, b int) bool { return groups[a].Key < groups[b].Key })
+	}
+	res, err := renderGroups(groups, parts[0].key, parts[0].aggCol, s.Items[1].Agg)
+	if err != nil {
+		return nil, err
+	}
+	if s.OrderBy != "" {
+		if !strings.EqualFold(s.OrderBy, s.GroupBy) {
+			return nil, fmt.Errorf("sql: GROUP BY results can only be ordered by the group key")
+		}
+		if s.Desc {
+			for i, j := 0, len(res.Rows)-1; i < j; i, j = i+1, j-1 {
+				res.Rows[i], res.Rows[j] = res.Rows[j], res.Rows[i]
+			}
 		}
 	}
-	merged := make([]engine.GroupRow, 0, len(acc))
-	for _, g := range acc {
-		merged = append(merged, *g)
+	if s.Limit > 0 && s.Limit < len(res.Rows) {
+		res.Rows = res.Rows[:s.Limit]
 	}
-	sort.Slice(merged, func(a, b int) bool { return merged[a].Key < merged[b].Key })
-	res, err := renderGroups(merged, key, aggCol, agg)
-	if err != nil {
-		return nil, err
-	}
-	return applyOrderLimit(res, s)
+	return res, nil
 }
 
-// mergeAggregates combines per-shard aggregate cells item by item.
+// mergeAggregates combines per-shard aggregate cells item by item. The
+// items run in order, so the first item at which any shard failed
+// decides the error (lowest shard first), and MIN/MAX over zero rows in
+// total fails at its own item — where one database running the items in
+// order would stop.
 func mergeAggregates(parts []selPartial, s *Select) (*Result, error) {
 	res := &Result{Rows: [][]uint64{nil}}
 	res.Floats = make([]float64, 0, len(s.Items))
-	for k := range parts[0].aggs {
+	for k := range s.Items {
+		for _, p := range parts {
+			if err := p.aggs[k].err; err != nil {
+				return nil, err
+			}
+		}
 		cell := parts[0].aggs[k]
 		for _, p := range parts[1:] {
 			o := p.aggs[k]
@@ -312,13 +338,45 @@ func mergeAggregates(parts []selPartial, s *Select) (*Result, error) {
 	return res, nil
 }
 
-// mergeRows orders gathered row references like the baseline (sort key
-// first when ordering, global id as the stable tiebreak and the storage
-// order otherwise), truncates, then projects each row on its owner shard.
+// rowRef locates one matched row of a multi-shard merge: merges order by
+// global id.
+type rowRef struct {
+	global int
+	shard  int
+	local  int
+	key    uint64 // ORDER BY sort key (unused otherwise)
+}
+
+// mergeRows projects the matched rows in merge order. Several partials
+// are interleaved by (sort key when ordering, then) global id, truncated,
+// and projected row by row on each owner shard.
 func mergeRows(c *shard.Cluster, s *Select, parts []selPartial) (*Result, error) {
+	fields := parts[0].fields
+	if len(parts) == 1 {
+		p := parts[0]
+		t, err := lookup(c.Shard(p.shard), s.Table)
+		if err != nil {
+			return nil, err
+		}
+		out, err := t.Project(p.rows, fields)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Columns: fields, Rows: out}, nil
+	}
 	var refs []rowRef
 	for _, p := range parts {
-		refs = append(refs, p.refs...)
+		for j, row := range p.rows {
+			g, ok := c.Global(s.Table, p.shard, row)
+			if !ok {
+				return nil, errUnmanaged(s.Table)
+			}
+			r := rowRef{global: g, shard: p.shard, local: row}
+			if p.keys != nil {
+				r.key = p.keys[j]
+			}
+			refs = append(refs, r)
+		}
 	}
 	if s.OrderBy != "" {
 		desc := s.Desc
@@ -337,14 +395,6 @@ func mergeRows(c *shard.Cluster, s *Select, parts []selPartial) (*Result, error)
 	}
 	if s.Limit > 0 && s.Limit < len(refs) {
 		refs = refs[:s.Limit]
-	}
-	t0, err := lookup(c.Shard(0), s.Table)
-	if err != nil {
-		return nil, err
-	}
-	fields, err := selectFields(t0, s)
-	if err != nil {
-		return nil, err
 	}
 	out := make([][]uint64, 0, len(refs))
 	for _, r := range refs {
@@ -398,7 +448,7 @@ func joinKeysOnShard(c *shard.Cluster, i int, table, col string) ([]keyedRow, er
 }
 
 // gatherJoinKeys fans joinKeysOnShard over the cluster and returns the
-// rows merged into ascending global order — the baseline's scan order.
+// rows merged into ascending global order — one database's scan order.
 func gatherJoinKeys(c *shard.Cluster, table, col string) ([]keyedRow, error) {
 	type slot struct {
 		rows []keyedRow
@@ -514,13 +564,16 @@ func scatterJoin(c *shard.Cluster, s *Select) (*Result, error) {
 }
 
 // scatterExplain describes the plan once (schemas are identical on every
-// shard) under a sharding header. ANALYZE executes the inner statement
-// through the sharded path with per-shard tracing, then replays each
-// shard's stream on its own simulated channel: the statement finishes
-// when its slowest shard does, so the estimate is the max over shards.
+// shard). ANALYZE executes the inner statement with per-shard tracing,
+// then replays each shard's stream on its own simulated channel: the
+// statement finishes when its slowest shard does, so the estimate is the
+// max over shards. Only a multi-shard cluster prints the scatter header
+// and the per-shard wording.
 func scatterExplain(c *shard.Cluster, ex *Explain) (*Result, []func() error, error) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "scatter over %d shards\n", c.N())
+	if c.N() > 1 {
+		fmt.Fprintf(&b, "scatter over %d shards\n", c.N())
+	}
 	describe(c.Shard(0), ex.Stmt, &b)
 
 	if !ex.Analyze {
@@ -546,7 +599,10 @@ func scatterExplain(c *shard.Cluster, ex *Explain) (*Result, []func() error, err
 	for _, st := range streams {
 		total += st.MemOps()
 	}
-	fmt.Fprintf(&b, "actual: %d memory ops across %d shards", total, c.N())
+	fmt.Fprintf(&b, "actual: %d memory ops", total)
+	if c.N() > 1 {
+		fmt.Fprintf(&b, " across %d shards", c.N())
+	}
 	if total > 0 {
 		var dualMax, rowMax int64
 		for _, st := range streams {
@@ -568,8 +624,11 @@ func scatterExplain(c *shard.Cluster, ex *Explain) (*Result, []func() error, err
 				rowMax = row.TimePs
 			}
 		}
-		fmt.Fprintf(&b, "; est. %.1f us with column accesses, %.1f us row-only (%.2fx), slowest shard",
+		fmt.Fprintf(&b, "; est. %.1f us with column accesses, %.1f us row-only (%.2fx)",
 			float64(dualMax)/1e6, float64(rowMax)/1e6, float64(rowMax)/float64(dualMax))
+		if c.N() > 1 {
+			b.WriteString(", slowest shard")
+		}
 	}
 	return &Result{Message: b.String()}, waits, nil
 }

@@ -36,10 +36,11 @@ import (
 // of serializing on the disk. With no log installed (the default),
 // logging costs one nil check and no allocation.
 //
-// A 1-shard cluster is the N=1 case of the same scaffold. It differs only
-// at the leaves (dispatchSharded and classifyGroup): the statement runs
-// unmodified on shard 0 and logs a statement record, exactly as a single
-// unsharded database would.
+// A 1-shard cluster is the N=1 case of the same scaffold and the same
+// executor: its reads are a single partial plus a merge. It differs only
+// at two leaves: dispatchSharded runs CREATE TABLE and INSERT unmodified
+// on shard 0 with a statement record, exactly as a single unsharded
+// database would, and classifyGroup never groups a batch.
 
 // Opts selects what one Exec call records besides executing the statement.
 // The zero value parses without a cache and records nothing.
@@ -175,19 +176,6 @@ func ReadOnlySrc(src string) bool {
 	return err == nil && ReadOnly(st)
 }
 
-// mutates reports whether a statement changes database state that
-// recovery must reproduce. EXPLAIN ANALYZE executes its inner statement,
-// so it mutates exactly when the inner statement does.
-func mutates(st Statement) bool {
-	switch s := st.(type) {
-	case *CreateTable, *Insert, *Update, *Delete:
-		return true
-	case *Explain:
-		return s.Analyze && mutates(s.Stmt)
-	}
-	return false
-}
-
 // logShard appends one statement record on db's commit log. Nil-safe and
 // allocation-free when no log is installed. An append failure surfaces
 // through the returned wait: the statement has already executed, so a
@@ -202,21 +190,4 @@ func logShard(db *engine.DB, src string, failed, unstable bool) func() error {
 		return func() error { return err }
 	}
 	return wait
-}
-
-// logCommit records a mutating statement on a single database's commit
-// log (the 1-shard leaf of dispatchSharded). Call with the exclusive lock
-// held, immediately after Run; execErr marks failed statements so recovery
-// replays their partial effects leniently.
-func logCommit(db *engine.DB, st Statement, src string, execErr error) func() error {
-	if db.CommitLog() == nil || !mutates(st) {
-		return nil
-	}
-	if ex, ok := st.(*Explain); ok && ex.Analyze {
-		// The WAL records the inner mutation's own text: replay must
-		// re-execute the mutation, not re-time it. Printed from the parsed
-		// AST (round-trip property) rather than re-derived from the source.
-		src = StatementText(ex.Stmt)
-	}
-	return logShard(db, src, execErr != nil, false)
 }

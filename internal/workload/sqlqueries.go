@@ -149,5 +149,11 @@ func SQLErrorQueries() []SQLQuery {
 		{ID: "E9", SQL: "SELECT f1 FROM table_c ORDER BY f2_wide"},
 		// Join key must be single-word.
 		{ID: "E10", SQL: "SELECT table_c.f1, table_c.f3 FROM table_c JOIN table_c ON table_c.f2_wide = table_c.f2_wide"},
+		// Broadcast aggregates fail at their first failing item, in item
+		// order: MIN over zero rows before a later unknown column, and a
+		// wide AVG before a later plain column even on shards that hold
+		// no matching rows.
+		{ID: "E11", SQL: "SELECT MIN(f2), SUM(nope) FROM table_a WHERE f1 > 1000001"},
+		{ID: "E12", SQL: "SELECT AVG(f2_wide), f1 FROM table_c WHERE f3 = 4"},
 	}
 }
