@@ -56,7 +56,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			srv := server.New(db, server.Options{Queue: 2 * sessions})
+			srv := server.NewCluster(shard.Wrap(db), server.Options{Queue: 2 * sessions})
 			addr, err := srv.ListenTCP("127.0.0.1:0")
 			if err != nil {
 				b.Fatal(err)
@@ -149,7 +149,7 @@ func BenchmarkServerBatch(b *testing.B) {
 			if _, err := sql.ExecSharded(cl, ins); err != nil {
 				b.Fatal(err)
 			}
-			srv := server.New(db, server.Options{})
+			srv := server.NewCluster(shard.Wrap(db), server.Options{})
 			addr, err := srv.ListenTCP("127.0.0.1:0")
 			if err != nil {
 				b.Fatal(err)

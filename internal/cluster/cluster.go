@@ -17,11 +17,11 @@
 //     consecutive failures eject a node, ejected nodes re-admit after a
 //     backoff once probes succeed again, and forward failures eject
 //     immediately (the request already proved the node dead).
-//   - router.go: the front end. Writes go to the primary — a dead primary
-//     fails fast with the retryable primary_unavailable, never hangs.
-//     Read-only statements round-robin across healthy replicas and fail
-//     over transparently on replica death; the primary is the fallback of
-//     last resort, so reads survive every replica dying.
+//   - router.go: the forwarding session behind server.Frontend. Writes go
+//     to the primary, and a dead primary fails fast with the retryable
+//     primary_unavailable. Reads round-robin across healthy replicas and
+//     fail over transparently on replica death; the primary is the
+//     fallback of last resort, so reads survive every replica dying.
 //
 // Failure semantics are typed, not implied: a write that never reached
 // the primary is primary_unavailable (retryable — nothing executed); a

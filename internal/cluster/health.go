@@ -77,7 +77,6 @@ func (n *node) failureReason() string {
 type checker struct {
 	nodes    []*node
 	interval time.Duration
-	timeout  time.Duration
 	thresh   int
 	backoff  time.Duration
 	onChange func(n *node, healthy bool)
@@ -85,14 +84,12 @@ type checker struct {
 	hc   *http.Client
 	stop chan struct{}
 	done chan struct{}
-	wg   sync.WaitGroup
 }
 
 func newChecker(nodes []*node, interval, timeout time.Duration, thresh int, backoff time.Duration, onChange func(*node, bool)) *checker {
 	return &checker{
 		nodes:    nodes,
 		interval: interval,
-		timeout:  timeout,
 		thresh:   thresh,
 		backoff:  backoff,
 		onChange: onChange,

@@ -1,15 +1,11 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -21,14 +17,19 @@ import (
 
 // Router counter names (the /stats payload of a routing front end).
 const (
-	RouteReads         = "route.reads"           // read-only requests forwarded
-	RouteWrites        = "route.writes"          // write-bearing requests forwarded to the primary
-	RouteReadFailovers = "route.read_failovers"  // reads resent to another backend after a failure
-	RouteEjections     = "route.ejections"       // replicas ejected from rotation
-	RouteReadmissions  = "route.readmissions"    // replicas re-admitted after recovery
-	RoutePrimaryDown   = "route.primary_down"    // writes failed fast: primary unreachable
-	RouteUnknownState  = "route.unknown_state"   // writes failed mid-exchange: state unknown
-	RouteBadRequests   = "route.bad_requests"    // undecodable protocol messages
+	RouteReads         = "route.reads"          // read-only requests forwarded
+	RouteWrites        = "route.writes"         // write-bearing requests forwarded to the primary
+	RouteReadFailovers = "route.read_failovers" // reads resent to another backend after a failure
+	RouteEjections     = "route.ejections"      // replicas ejected from rotation
+	RouteReadmissions  = "route.readmissions"   // replicas re-admitted after recovery
+	RoutePrimaryDown   = "route.primary_down"   // writes failed fast: primary unreachable
+	RouteUnknownState  = "route.unknown_state"  // writes failed mid-exchange: state unknown
+	RouteBadRequests   = "route.bad_requests"   // undecodable protocol messages
+	// Session series, kept by the shared wire front end.
+	RouteSessionsOpened = "route.sessions_opened" // TCP connections accepted
+	RouteSessionsActive = "route.sessions_active" // TCP connections currently open (gauge)
+	RouteEncodeErrors   = "route.encode_errors"   // responses computed but undeliverable
+	RoutePanics         = "route.panics"          // session or /query panics recovered
 )
 
 // RouterOptions configures a routing front end.
@@ -102,13 +103,9 @@ type Router struct {
 	// scrape is the HTTP client of the federated /cluster/metrics and
 	// /cluster/stats scrapes.
 	scrape *http.Client
-
-	mu        sync.Mutex
-	listeners []net.Listener
-	https     []*http.Server
-	conns     map[net.Conn]struct{}
-	shutting  bool
-	accepting sync.WaitGroup
+	// fe owns the TCP and HTTP listeners, the session loop and their
+	// teardown; its session counters are the route.sessions_* series.
+	fe *server.Frontend
 }
 
 // NewRouter creates a router. Replicas start healthy and eject on their
@@ -121,8 +118,8 @@ func NewRouter(opts RouterOptions) *Router {
 		primary: &node{be: opts.Primary, name: "primary", lat: stats.NewHistogram()},
 		met:     stats.NewSet(),
 		scrape:  &http.Client{Timeout: opts.ScrapeTimeout},
-		conns:   make(map[net.Conn]struct{}),
 	}
+	r.fe = server.NewFrontend("route", r.met, opts.Logger, r.openSession, r.routes)
 	r.primary.healthy.Store(true)
 	for i, be := range opts.Replicas {
 		n := &node{be: be, name: fmt.Sprintf("replica-%d", i), lat: stats.NewHistogram()}
@@ -167,8 +164,13 @@ type session struct {
 	conns map[string]*server.Client // by backend TCP address
 }
 
-func (r *Router) newSession() *session {
-	return &session{r: r, conns: make(map[string]*server.Client)}
+// openSession opens one client session for the front end: per TCP
+// connection, and per HTTP /query request — HTTP has no session affinity
+// to preserve, and a pooled backend conn shared across concurrent
+// handlers would interleave frames.
+func (r *Router) openSession() (server.Handler, func()) {
+	ss := &session{r: r, conns: make(map[string]*server.Client)}
+	return ss.forward, ss.close
 }
 
 func (ss *session) close() {
@@ -221,7 +223,8 @@ func readOnlyRequest(req *server.Request) bool {
 // forward routes one request and always returns a response carrying the
 // client's original request ID (backend sessions number their requests
 // independently, so the forwarded response's ID must be rewritten back).
-func (ss *session) forward(req *server.Request) *server.Response {
+// It is the session's front-end handler, with nothing to release.
+func (ss *session) forward(req *server.Request) (*server.Response, func()) {
 	origID := req.ID
 	ft := ss.beginTrace(req)
 	start := time.Now()
@@ -236,7 +239,7 @@ func (ss *session) forward(req *server.Request) *server.Response {
 	ft.span("route", start)
 	ft.stitch(resp)
 	resp.ID = origID
-	return resp
+	return resp, nil
 }
 
 // forwardRead serves a read-only request: round-robin over healthy
@@ -386,151 +389,27 @@ func (ss *session) forwardWrite(req *server.Request, ft *fwdTrace) *server.Respo
 }
 
 // ListenTCP starts the router's NDJSON front end.
-func (r *Router) ListenTCP(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	if r.shutting {
-		r.mu.Unlock()
-		ln.Close()
-		return nil, server.ErrShuttingDown
-	}
-	r.listeners = append(r.listeners, ln)
-	r.mu.Unlock()
-	r.accepting.Add(1)
-	go r.acceptLoop(ln)
-	return ln.Addr(), nil
-}
-
-func (r *Router) acceptLoop(ln net.Listener) {
-	defer r.accepting.Done()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		r.mu.Lock()
-		if r.shutting {
-			r.mu.Unlock()
-			c.Close()
-			return
-		}
-		r.conns[c] = struct{}{}
-		r.mu.Unlock()
-		go r.serveConn(c)
-	}
-}
-
-func (r *Router) serveConn(c net.Conn) {
-	ss := r.newSession()
-	defer func() {
-		ss.close()
-		c.Close()
-		r.mu.Lock()
-		delete(r.conns, c)
-		r.mu.Unlock()
-	}()
-	sc := bufio.NewScanner(c)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	enc := json.NewEncoder(c)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var req server.Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			r.met.Inc(RouteBadRequests)
-			if enc.Encode(&server.Response{Error: &server.WireError{
-				Code: server.CodeBadRequest, Message: err.Error(),
-			}}) != nil {
-				return
-			}
-			continue
-		}
-		if enc.Encode(ss.forward(&req)) != nil {
-			return
-		}
-	}
-}
+func (r *Router) ListenTCP(addr string) (net.Addr, error) { return r.fe.ListenTCP(addr) }
 
 // ListenHTTP starts the router's HTTP front end: POST /query (forwarded
 // like the TCP protocol), GET /stats (router counters + per-replica
-// health), GET /healthz, GET /readyz.
-func (r *Router) ListenHTTP(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query", r.handleQuery)
+// health), GET /metrics, the federated /cluster/metrics and
+// /cluster/stats, GET /healthz, GET /readyz.
+func (r *Router) ListenHTTP(addr string) (net.Addr, error) { return r.fe.ListenHTTP(addr) }
+
+// routes registers the router's HTTP routes next to the front end's
+// /query and /healthz.
+func (r *Router) routes(mux *http.ServeMux) {
 	mux.HandleFunc("/stats", r.handleStats)
 	mux.HandleFunc("/metrics", r.handleMetrics)
 	mux.HandleFunc("/cluster/metrics", r.handleClusterMetrics)
 	mux.HandleFunc("/cluster/stats", r.handleClusterStats)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
 	// The router is ready as soon as it serves: with every backend down
 	// it still answers every request with a typed retryable error, which
 	// is exactly the contract /readyz vouches for.
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, req *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	hs := &http.Server{Handler: mux}
-	r.mu.Lock()
-	if r.shutting {
-		r.mu.Unlock()
-		ln.Close()
-		return nil, server.ErrShuttingDown
-	}
-	r.https = append(r.https, hs)
-	r.mu.Unlock()
-	r.accepting.Add(1)
-	go func() {
-		defer r.accepting.Done()
-		hs.Serve(ln)
-	}()
-	return ln.Addr(), nil
-}
-
-func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var q server.Request
-	if err := json.NewDecoder(io.LimitReader(req.Body, 1<<20)).Decode(&q); err != nil {
-		r.met.Inc(RouteBadRequests)
-		writeJSON(w, http.StatusBadRequest, &server.Response{Error: &server.WireError{
-			Code: server.CodeBadRequest, Message: err.Error(),
-		}})
-		return
-	}
-	// Each HTTP request uses a throwaway session: HTTP has no session
-	// affinity to preserve, and a pooled backend conn shared across
-	// concurrent handlers would interleave frames.
-	ss := r.newSession()
-	defer ss.close()
-	resp := ss.forward(&q)
-	status := http.StatusOK
-	if resp.Error != nil {
-		switch resp.Error.Code {
-		case server.CodeOverloaded, server.CodeShutdown, server.CodeUnavailable, server.CodePrimaryDown:
-			status = http.StatusServiceUnavailable
-		case server.CodeTimeout:
-			status = http.StatusGatewayTimeout
-		case server.CodeMemory, server.CodeInternal, server.CodeUnknownState:
-			status = http.StatusInternalServerError
-		case server.CodeReadOnly:
-			status = http.StatusForbidden
-		default:
-			status = http.StatusBadRequest
-		}
-	}
-	writeJSON(w, status, resp)
 }
 
 // RouterStats is the router's GET /stats payload.
@@ -557,7 +436,12 @@ type ReplicaHealth struct {
 var routeCounterNames = []string{
 	RouteReads, RouteWrites, RouteReadFailovers, RouteEjections,
 	RouteReadmissions, RoutePrimaryDown, RouteUnknownState, RouteBadRequests,
+	RouteSessionsOpened, RouteSessionsActive, RouteEncodeErrors, RoutePanics,
 }
+
+// routeGauges marks the route.* names that are levels, not monotonic
+// counts.
+var routeGauges = map[string]bool{RouteSessionsActive: true}
 
 // Stats snapshots the router counters and per-replica health.
 func (r *Router) Stats() RouterStats {
@@ -581,7 +465,7 @@ func (r *Router) Stats() RouterStats {
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, r.Stats())
+	r.fe.WriteJSON(w, http.StatusOK, r.Stats())
 }
 
 // handleMetrics renders the router's own GET /metrics: every route.*
@@ -591,7 +475,7 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
 	st := r.Stats()
-	obs.WriteCounters(w, "rcnvm", st.Counters, nil)
+	obs.WriteCounters(w, "rcnvm", st.Counters, routeGauges)
 	obs.WriteGauge(w, "rcnvm_route_replicas", float64(len(r.replicas)))
 	obs.WriteGauge(w, "rcnvm_route_replicas_healthy", float64(r.Healthy()))
 	items := make([]obs.LabeledHistogram, 0, 1+len(r.replicas))
@@ -610,38 +494,13 @@ func (r *Router) allNodes() []*node {
 	return out
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
 // Shutdown stops the router: the health checker exits, listeners close,
 // open client sessions (and their backend sessions) drop.
 func (r *Router) Shutdown(ctx context.Context) error {
-	r.mu.Lock()
-	if r.shutting {
-		r.mu.Unlock()
+	if !r.fe.Stop() {
 		return nil
 	}
-	r.shutting = true
-	listeners := r.listeners
-	https := r.https
-	conns := make([]net.Conn, 0, len(r.conns))
-	for c := range r.conns {
-		conns = append(conns, c)
-	}
-	r.mu.Unlock()
 	r.check.close()
-	for _, ln := range listeners {
-		ln.Close()
-	}
-	for _, hs := range https {
-		hs.Shutdown(ctx)
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	r.accepting.Wait()
+	r.fe.Shutdown(ctx)
 	return ctx.Err()
 }

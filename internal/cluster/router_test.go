@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -34,6 +37,51 @@ func TestParseBackendSpecs(t *testing.T) {
 	}
 	if list, err := ParseBackends("  "); err != nil || list != nil {
 		t.Fatalf("empty spec: %v %v", list, err)
+	}
+}
+
+// TestRouterSessionCounters: the router's TCP port keeps the shared front
+// end's session series — opening and closing a session moves
+// route.sessions_opened and route.sessions_active, and a malformed line is
+// answered bad_request and counted in route.bad_requests. No backend is
+// needed: nothing is forwarded.
+func TestRouterSessionCounters(t *testing.T) {
+	rt := NewRouter(RouterOptions{Primary: Backend{TCP: "127.0.0.1:1", HTTP: "127.0.0.1:1"}})
+	addr, err := rt.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown(context.Background())
+	counter := func(name string) int64 { return rt.Stats().Counters[name] }
+
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 5*time.Second, "session opened", func() bool {
+		return counter(RouteSessionsOpened) == 1 && counter(RouteSessionsActive) == 1
+	})
+	if _, err := conn.Write([]byte("{not json\n")); err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(conn)
+	if !sc.Scan() {
+		t.Fatalf("no answer to a malformed line: %v", sc.Err())
+	}
+	var resp server.Response
+	if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Error == nil || resp.Error.Code != server.CodeBadRequest {
+		t.Fatalf("malformed line answered %s", sc.Bytes())
+	}
+	if got := counter(RouteBadRequests); got != 1 {
+		t.Fatalf("route.bad_requests = %d, want 1", got)
+	}
+	conn.Close()
+	waitUntil(t, 5*time.Second, "session closed", func() bool { return counter(RouteSessionsActive) == 0 })
+	if got := counter(RouteSessionsOpened); got != 1 {
+		t.Fatalf("route.sessions_opened = %d after close, want 1", got)
 	}
 }
 

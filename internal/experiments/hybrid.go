@@ -90,7 +90,7 @@ func HybridSweep(scale Scale, workers int) (TableData, error) {
 	}
 	systems, baseIdx := hybridSystems()
 	results, err := Sweep(context.Background(), workers, len(systems), func(i int) (sim.Result, error) {
-		res, err := workload.RunMixedRounds(systems[i], p, HybridRounds)
+		res, err := workload.RunMixed(systems[i], p, HybridRounds)
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("hybrid olxp on %s: %w", systems[i].Name, err)
 		}

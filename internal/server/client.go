@@ -77,12 +77,12 @@ func (c *Client) Broken() bool {
 // errors.Is(err, ErrOverloaded)); the response is returned alongside
 // whenever one was received.
 func (c *Client) Query(q string) (*Response, error) {
-	return c.do(Request{Query: q})
+	return c.Do(Request{Query: q})
 }
 
 // QueryTimed executes one statement with RC-NVM timing attribution.
 func (c *Client) QueryTimed(q string) (*Response, error) {
-	return c.do(Request{Query: q, Timing: true})
+	return c.Do(Request{Query: q, Timing: true})
 }
 
 // Batch executes stmts in order as one batch request: one admission, one
@@ -92,7 +92,7 @@ func (c *Client) QueryTimed(q string) (*Response, error) {
 // The returned error covers whole-batch failures only (transport,
 // overload, shutdown, deadline).
 func (c *Client) Batch(stmts []string) ([]*Response, error) {
-	resp, err := c.do(Request{Batch: stmts})
+	resp, err := c.Do(Request{Batch: stmts})
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +103,7 @@ func (c *Client) Batch(stmts []string) ([]*Response, error) {
 // carries a Chrome trace-event JSON document (Perfetto-loadable). With
 // timing the trace also covers the replay's per-memory-request phases.
 func (c *Client) QueryTraced(q string, timing bool) (*Response, error) {
-	return c.do(Request{Query: q, Timing: timing, Trace: true})
+	return c.Do(Request{Query: q, Timing: timing, Trace: true})
 }
 
 // Do sends one raw request on the session and returns its response. The
@@ -112,10 +112,6 @@ func (c *Client) QueryTraced(q string, timing bool) (*Response, error) {
 // protocol party — the cluster router — must rewrite the returned
 // response's ID back to their caller's before relaying it.
 func (c *Client) Do(req Request) (*Response, error) {
-	return c.do(req)
-}
-
-func (c *Client) do(req Request) (*Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.broken {
@@ -261,7 +257,7 @@ func DialRetry(addr string, pol RetryPolicy) *RetryClient {
 
 // Query executes one statement with retries.
 func (r *RetryClient) Query(q string) (*Response, error) {
-	return r.do(Request{Query: q})
+	return r.retry(Request{Query: q}, IsRetryable)
 }
 
 // Batch executes stmts as one batch request with retries. Retrying a
@@ -273,43 +269,17 @@ func (r *RetryClient) Query(q string) (*Response, error) {
 // Mutating batches with unknown state fail fast instead.
 func (r *RetryClient) Batch(stmts []string) ([]*Response, error) {
 	readOnly := allReadOnly(stmts)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	start := time.Now()
-	var lastErr error
-	attempt := 0
-	for ; r.budgetLeft(attempt, start); attempt++ {
-		if attempt > 0 {
-			time.Sleep(r.backoff(attempt))
-			r.retries.Add(1)
-		}
-		c, err := r.sessionLocked()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		resp, err := c.do(Request{Batch: stmts})
-		if err == nil {
-			return resp.Results, nil
-		}
-		lastErr = err
-		if c.Broken() {
-			c.Close()
-			r.c = nil
-		}
-		if !batchRetryable(err, readOnly) {
-			if !readOnly && !errors.Is(err, ErrShuttingDown) && IsRetryable(err) {
-				// The batch carries mutations and the exchange broke after
-				// the send: its state is unknown. Typed so callers can
-				// distinguish "reconcile before retrying" from a plain error.
-				return nil, fmt.Errorf("%w: %w", ErrUnknownState, err)
-			}
-			return nil, err
-		}
+	resp, err := r.retry(Request{Batch: stmts}, func(err error) bool { return batchRetryable(err, readOnly) })
+	switch {
+	case err == nil:
+		return resp.Results, nil
+	case !readOnly && !errors.Is(err, ErrGaveUp) && !errors.Is(err, ErrShuttingDown) && IsRetryable(err):
+		// The batch carries mutations and the exchange broke after the
+		// send: its state is unknown. Typed so callers can distinguish
+		// "reconcile before retrying" from a plain error.
+		return nil, fmt.Errorf("%w: %w", ErrUnknownState, err)
 	}
-	r.gaveup.Add(1)
-	return nil, fmt.Errorf("%w: giving up after %d attempts in %v: %w",
-		ErrGaveUp, attempt, time.Since(start).Round(time.Millisecond), lastErr)
+	return nil, err
 }
 
 // batchRetryable decides whether a failed batch may be resent. Overload is
@@ -369,7 +339,9 @@ func (r *RetryClient) budgetLeft(attempt int, start time.Time) bool {
 	return time.Since(start) < r.pol.MaxElapsed
 }
 
-func (r *RetryClient) do(req Request) (*Response, error) {
+// retry sends req until it succeeds, fails with an error retryable
+// rejects, or the retry budget runs out (ErrGaveUp).
+func (r *RetryClient) retry(req Request, retryable func(error) bool) (*Response, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	start := time.Now()
@@ -385,7 +357,7 @@ func (r *RetryClient) do(req Request) (*Response, error) {
 			lastErr = err
 			continue
 		}
-		resp, err := c.do(req)
+		resp, err := c.Do(req)
 		if err == nil {
 			return resp, nil
 		}
@@ -394,7 +366,7 @@ func (r *RetryClient) do(req Request) (*Response, error) {
 			c.Close()
 			r.c = nil
 		}
-		if !IsRetryable(err) {
+		if !retryable(err) {
 			return resp, err
 		}
 	}

@@ -114,37 +114,27 @@ func RunLoad(spec LoadSpec) (*LoadReport, error) {
 					if len(batch) < spec.Batch {
 						continue
 					}
-					t0 := time.Now()
-					rs, err := c.Batch(batch)
-					lat.Observe(time.Since(t0).Nanoseconds())
-					queries.Add(int64(len(batch)))
-					batch = batch[:0]
-					switch {
-					case err == nil:
-						for _, r := range rs {
-							if r.Error != nil {
-								errs.Add(1)
-							}
-						}
-					case errors.Is(err, ErrOverloaded):
-						rejected.Add(1)
-					case errors.Is(err, ErrShuttingDown):
-						return
-					default:
-						errs.Add(1)
-					}
-					continue
 				}
 				t0 := time.Now()
-				var err error
-				if spec.TimingEvery > 0 && i%spec.TimingEvery == spec.TimingEvery-1 {
+				n, err := 1, error(nil)
+				switch {
+				case batch != nil:
+					var rs []*Response
+					rs, err = c.Batch(batch)
+					n, batch = len(batch), batch[:0]
+					for _, r := range rs {
+						if r.Error != nil {
+							errs.Add(1)
+						}
+					}
+				case spec.TimingEvery > 0 && i%spec.TimingEvery == spec.TimingEvery-1:
 					timed.Add(1)
 					_, err = c.QueryTimed(q)
-				} else {
+				default:
 					_, err = c.Query(q)
 				}
 				lat.Observe(time.Since(t0).Nanoseconds())
-				queries.Add(1)
+				queries.Add(int64(n))
 				switch {
 				case err == nil:
 				case errors.Is(err, ErrOverloaded):

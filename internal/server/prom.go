@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"rcnvm/internal/durable"
@@ -39,6 +40,10 @@ var tierCounterNames = []string{
 	TierColPatches,
 }
 
+// promCounterNames is every counter /metrics renders from the first scrape.
+var promCounterNames = slices.Concat(serverCounterNames, planCacheCounterNames,
+	faultCounterNames, tierCounterNames, durable.CounterNames)
+
 // promGauges marks the counter names that are levels, not monotonic
 // counts, so the exposition types them gauge without a _total suffix.
 var promGauges = map[string]bool{SessionsActive: true}
@@ -50,52 +55,13 @@ var promGauges = map[string]bool{SessionsActive: true}
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
 
-	counters := s.met.Set.Snapshot()
-	for _, name := range serverCounterNames {
+	// Every family renders from the first scrape, all zero until it fires
+	// (plan cache disabled, volatile server, fault injection or tier off).
+	counters := s.Stats().Counters
+	for _, name := range promCounterNames {
 		if _, ok := counters[name]; !ok {
 			counters[name] = 0
 		}
-	}
-	for _, name := range faultCounterNames {
-		if _, ok := counters[name]; !ok {
-			counters[name] = 0
-		}
-	}
-	for _, name := range planCacheCounterNames {
-		if _, ok := counters[name]; !ok {
-			counters[name] = 0
-		}
-	}
-	for _, name := range tierCounterNames {
-		if _, ok := counters[name]; !ok {
-			counters[name] = 0
-		}
-	}
-	{
-		h, m, e := s.plans.Counters()
-		counters[PlanCacheHits] = h
-		counters[PlanCacheMisses] = m
-		counters[PlanCacheEvictions] = e
-	}
-	// wal.* series render from the first scrape like every other family
-	// (all zero on a volatile server).
-	for _, name := range durable.CounterNames {
-		if _, ok := counters[name]; !ok {
-			counters[name] = 0
-		}
-	}
-	if s.opts.Durable != nil {
-		for name, v := range s.opts.Durable.CounterSnapshot() {
-			counters[name] = v
-		}
-	}
-	if c, ok := s.faultCounts(); ok {
-		counters[FaultTransientBits] = c.TransientBits
-		counters[FaultStuckBits] = c.StuckBits
-		counters[FaultCorrected] = c.Corrected
-		counters[FaultUncorrectable] = c.Uncorrectable
-		counters[FaultMiscorrected] = c.Miscorrected
-		counters[FaultWrites] = c.Writes
 	}
 	obs.WriteCounters(w, "rcnvm", counters, promGauges)
 
@@ -130,8 +96,8 @@ func (s *Server) handleBanks(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("shard must be in [0,%d)", s.Cluster().N()), http.StatusBadRequest)
 			return
 		}
-		s.writeJSON(w, http.StatusOK, s.ShardTelemetry(i).Snapshot())
+		s.fe.WriteJSON(w, http.StatusOK, s.ShardTelemetry(i).Snapshot())
 		return
 	}
-	s.writeJSON(w, http.StatusOK, s.tel.Snapshot())
+	s.fe.WriteJSON(w, http.StatusOK, s.tel.Snapshot())
 }

@@ -1,17 +1,18 @@
 // Package server is the concurrent query service over the functional
-// RC-NVM database: a TCP front end speaking newline-delimited JSON and an
-// HTTP front end (POST /query, GET /stats), both executing SQL against one
-// shared engine.DB through a bounded worker pool with admission control.
+// RC-NVM database: SQL runs against a shard.Cluster (one engine.DB per
+// shard; a single database is the 1-shard cluster) through a bounded
+// worker pool with admission control. Clients reach it through the wire
+// front end (Frontend, shared with the cluster router): NDJSON over TCP
+// and HTTP POST /query, next to the server's own routes (/stats,
+// /metrics, /readyz, /wal/*).
 //
-// Concurrency model, in one paragraph: every statement is classified by
-// sql.ReadOnly and runs under the engine's RWMutex at statement
-// granularity — SELECTs share the read lock and proceed in parallel,
-// mutations and traced statements take the write lock. The worker pool
-// bounds how many statements execute at once; when its queue is full the
-// server rejects immediately with a typed "overloaded" error instead of
-// queueing unboundedly, so latency stays bounded under overload. Shutdown
-// stops admission first, then drains every in-flight query before closing
-// connections.
+// Concurrency model, in one paragraph: sql.Exec locks each shard it
+// touches at statement granularity — SELECTs share the read lock and run
+// in parallel, mutations and traced statements take the write lock. The
+// pool bounds how many statements execute at once; when its queue is full
+// the server rejects at once with a typed "overloaded" error, so latency
+// stays bounded under overload. Shutdown stops admission first, then
+// drains every in-flight query before closing connections.
 //
 // A request may set "timing": true to have its memory-access trace
 // replayed on the RC-NVM timing simulator, both as issued (column
@@ -184,8 +185,8 @@ func (r *Response) Err() error {
 
 func errResponse(id uint64, code, msg string) *Response {
 	return &Response{ID: id, Error: &WireError{
-		Code:      code,
-		Message:   msg,
+		Code:    code,
+		Message: msg,
 		Retryable: code == CodeOverloaded || code == CodeTimeout ||
 			code == CodeUnavailable || code == CodePrimaryDown,
 	}}

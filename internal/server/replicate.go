@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"io"
-	"net"
 	"net/http"
 	"strconv"
 
@@ -100,7 +99,7 @@ func (s *Server) handleChecksum(w http.ResponseWriter, r *http.Request) {
 	if !s.readyOr503(w) {
 		return
 	}
-	s.writeJSON(w, http.StatusOK, s.Checksums())
+	s.fe.WriteJSON(w, http.StatusOK, s.Checksums())
 }
 
 // readyOr503 gates the shipping/convergence endpoints on readiness.
@@ -130,31 +129,29 @@ type WALStateResponse struct {
 	Totals []durable.ShardTotals   `json:"totals,omitempty"`
 }
 
-// walStore returns the durable store for a /wal/* request, writing the
-// 404 itself when the server is volatile or the store is not attached.
-func (s *Server) walStore(w http.ResponseWriter) *durable.Store {
-	if s.opts.Durable == nil {
-		http.Error(w, "server is volatile (no -data-dir): nothing to ship", http.StatusNotFound)
-		return nil
+// walRoute wraps a /wal/* handler: 503 until the node is ready, 404 on a
+// volatile server (nothing to ship), else h runs against the store.
+func (s *Server) walRoute(h func(http.ResponseWriter, *http.Request, *durable.Store)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !s.readyOr503(w) {
+			return
+		}
+		if s.opts.Durable == nil {
+			http.Error(w, "server is volatile (no -data-dir): nothing to ship", http.StatusNotFound)
+			return
+		}
+		h(w, r, s.opts.Durable)
 	}
-	return s.opts.Durable
 }
 
 // handleWALState serves GET /wal/state.
-func (s *Server) handleWALState(w http.ResponseWriter, r *http.Request) {
-	if !s.readyOr503(w) {
-		return
-	}
-	st := s.walStore(w)
-	if st == nil {
-		return
-	}
+func (s *Server) handleWALState(w http.ResponseWriter, r *http.Request, st *durable.Store) {
 	epoch, mode, shards, pos, totals, err := st.StreamState()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, WALStateResponse{
+	s.fe.WriteJSON(w, http.StatusOK, WALStateResponse{
 		Epoch: epoch, Mode: mode.String(), Shards: shards, Pos: pos, Totals: totals,
 	})
 }
@@ -164,14 +161,7 @@ func (s *Server) handleWALState(w http.ResponseWriter, r *http.Request) {
 // means the segment is complete and fully served — advance to (n+1, 0).
 // 410 Gone means the epoch was checkpointed away: re-sync via
 // /wal/checkpoint + /wal/registry, then stream the new epoch.
-func (s *Server) handleWALRead(w http.ResponseWriter, r *http.Request) {
-	if !s.readyOr503(w) {
-		return
-	}
-	st := s.walStore(w)
-	if st == nil {
-		return
-	}
+func (s *Server) handleWALRead(w http.ResponseWriter, r *http.Request, st *durable.Store) {
 	q := r.URL.Query()
 	shardIdx, err1 := strconv.Atoi(q.Get("shard"))
 	epoch, err2 := strconv.ParseUint(q.Get("epoch"), 10, 64)
@@ -207,58 +197,38 @@ func (s *Server) handleWALRead(w http.ResponseWriter, r *http.Request) {
 // current-epoch snapshot stream (engine.Load format), with the epoch in
 // X-Wal-Epoch. 404 when no checkpoint exists yet (epoch 1) — the
 // follower starts from an empty cluster and streams the WAL instead.
-func (s *Server) handleWALCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if !s.readyOr503(w) {
-		return
-	}
-	st := s.walStore(w)
-	if st == nil {
-		return
-	}
+func (s *Server) handleWALCheckpoint(w http.ResponseWriter, r *http.Request, st *durable.Store) {
 	shardIdx, err := strconv.Atoi(r.URL.Query().Get("shard"))
 	if err != nil {
 		http.Error(w, "shard query parameter required", http.StatusBadRequest)
 		return
 	}
 	rc, epoch, err := st.OpenCheckpoint(shardIdx)
-	if errors.Is(err, durable.ErrNoCheckpoint) {
-		w.Header().Set("X-Wal-Epoch", strconv.FormatUint(epoch, 10))
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	defer rc.Close()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Wal-Epoch", strconv.FormatUint(epoch, 10))
-	io.Copy(w, rc)
+	serveSnapshot(w, rc, epoch, err, http.StatusBadRequest)
 }
 
 // handleWALRegistry serves GET /wal/registry: the current-epoch registry
 // snapshot (framed gob; durable.DecodeRegistrySnapshot decodes it).
-func (s *Server) handleWALRegistry(w http.ResponseWriter, r *http.Request) {
-	if !s.readyOr503(w) {
-		return
-	}
-	st := s.walStore(w)
-	if st == nil {
-		return
-	}
+func (s *Server) handleWALRegistry(w http.ResponseWriter, r *http.Request, st *durable.Store) {
 	rc, epoch, err := st.OpenRegistry()
-	if errors.Is(err, durable.ErrNoCheckpoint) {
-		w.Header().Set("X-Wal-Epoch", strconv.FormatUint(epoch, 10))
-		http.Error(w, err.Error(), http.StatusNotFound)
+	serveSnapshot(w, rc, epoch, err, http.StatusInternalServerError)
+}
+
+// serveSnapshot streams one checkpoint artifact with its epoch in
+// X-Wal-Epoch: 404 (epoch still set) when no checkpoint exists yet,
+// errStatus on any other open failure.
+func serveSnapshot(w http.ResponseWriter, rc io.ReadCloser, epoch uint64, err error, errStatus int) {
+	if err != nil && !errors.Is(err, durable.ErrNoCheckpoint) {
+		http.Error(w, err.Error(), errStatus)
 		return
 	}
+	w.Header().Set("X-Wal-Epoch", strconv.FormatUint(epoch, 10))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
 	defer rc.Close()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Wal-Epoch", strconv.FormatUint(epoch, 10))
 	io.Copy(w, rc)
 }
 
@@ -272,29 +242,9 @@ func (s *Server) handleWALRegistry(w http.ResponseWriter, r *http.Request) {
 // one to answer to.
 func (s *Server) Abort() {
 	s.SetNotReady("aborted")
-	s.mu.Lock()
-	if s.shutting {
-		s.mu.Unlock()
-		return
+	if s.stopAdmission() {
+		s.fe.Abort()
 	}
-	s.shutting = true
-	listeners := s.listeners
-	https := s.https
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	for _, ln := range listeners {
-		ln.Close()
-	}
-	for _, hs := range https {
-		hs.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	s.accepting.Wait()
 }
 
 // ApplyWAL applies one shipped WAL record to shard i of the served
